@@ -30,7 +30,7 @@ from .graph import base_graph, is_tree
 from .io import LoadedGraph, format_edgelist, load_edgelist, to_dot
 from .monitor import em_set, is_monitoring_set, p_set
 from .solvers import DEFAULT_BUDGET, dem_exact, dem_greedy
-from .structural import bounds_report, dem2_pair_check, dem3_triple_check
+from .structural import bounds_report, dem2_first_pass, dem2_pair_check, dem3_triple_check
 
 FORMATS = ("json", "csv", "dot", "text")
 
@@ -103,60 +103,51 @@ _GEN_USAGE = (
 )
 
 
+def _ints(args: list) -> list:
+    return [int(a) for a in args]
+
+
+def _random_instance(n: int, p: float, seed: int) -> generators.FamilyInstance:
+    g = generators.random_connected(n, p, seed)
+    return generators.FamilyInstance(g, "random", {"n": n, "p": p, "seed": seed})
+
+
+def _tree_instance(n: int, seed: int) -> generators.FamilyInstance:
+    return generators.FamilyInstance(generators.random_tree(n, seed), "tree", {"n": n, "seed": seed})
+
+
 def _instance_from_genspec(spec: str, seed: int) -> generators.FamilyInstance:
     name, _, rest = spec.partition(":")
     args = [a for a in rest.split(",") if a]
-
-    def ints(k):
-        if len(args) != k:
-            raise BadParameterError(f"{name} expects {k} parameter(s); usage: {_GEN_USAGE}")
-        try:
-            return [int(a) for a in args]
-        except ValueError:
-            raise BadParameterError(f"parameters for {name} must be integers")
-
-    if name == "path":
-        return generators.path(*ints(1))
-    if name == "cycle":
-        return generators.cycle(*ints(1))
-    if name == "complete":
-        return generators.complete(*ints(1))
-    if name == "star":
-        return generators.star(*ints(1))
-    if name == "complete_bipartite":
-        return generators.complete_bipartite(*ints(2))
-    if name == "grid":
-        return generators.grid(*ints(2))
-    if name == "hypercube":
-        return generators.hypercube(*ints(1))
-    if name == "doublestar":
-        return generators.double_star(*ints(2))
-    if name == "emk":
-        return generators.em_k_construction(*ints(2))
-    if name == "d1":
-        return generators.d1_graph(*ints(1))
-    if name == "d2":
-        return generators.d2_graph(*ints(1))
-    if name == "ad":
-        if len(args) < 2:
-            raise BadParameterError("ad expects d followed by level sizes")
-        vals = [int(a) for a in args]
-        return generators.a_d_graph(vals[0], vals[1:], seed=seed)
-    if name == "petersen":
-        if args:
-            raise BadParameterError("petersen takes no parameters")
-        return generators.petersen()
-    if name == "random":
-        if len(args) != 2:
-            raise BadParameterError("random expects n,p")
-        g = generators.random_connected(int(args[0]), float(args[1]), seed)
-        return generators.FamilyInstance(g, "random", {"n": int(args[0]), "p": float(args[1]), "seed": seed})
-    if name == "tree":
-        if len(args) != 1:
-            raise BadParameterError("tree expects n")
-        g = generators.random_tree(int(args[0]), seed)
-        return generators.FamilyInstance(g, "tree", {"n": int(args[0]), "seed": seed})
-    raise BadParameterError(f"unknown family {name!r}; usage: {_GEN_USAGE}")
+    # family -> (constructor, arity, argument parser); arity None means d
+    # followed by at least one level size.
+    families = {
+        "path": (generators.path, 1, _ints),
+        "cycle": (generators.cycle, 1, _ints),
+        "complete": (generators.complete, 1, _ints),
+        "star": (generators.star, 1, _ints),
+        "complete_bipartite": (generators.complete_bipartite, 2, _ints),
+        "grid": (generators.grid, 2, _ints),
+        "hypercube": (generators.hypercube, 1, _ints),
+        "doublestar": (generators.double_star, 2, _ints),
+        "emk": (generators.em_k_construction, 2, _ints),
+        "d1": (generators.d1_graph, 1, _ints),
+        "d2": (generators.d2_graph, 1, _ints),
+        "ad": (lambda d, *sizes: generators.a_d_graph(d, list(sizes), seed=seed), None, _ints),
+        "petersen": (generators.petersen, 0, _ints),
+        "random": (lambda n, p: _random_instance(n, p, seed), 2, lambda a: [int(a[0]), float(a[1])]),
+        "tree": (lambda n: _tree_instance(n, seed), 1, _ints),
+    }
+    if name not in families:
+        raise BadParameterError(f"unknown family {name!r}; usage: {_GEN_USAGE}")
+    make, arity, parse = families[name]
+    if len(args) < 2 if arity is None else len(args) != arity:
+        raise BadParameterError(f"wrong number of parameters for {name}; usage: {_GEN_USAGE}")
+    try:
+        values = parse(args)
+    except ValueError:
+        raise BadParameterError(f"cannot parse parameters {rest!r} for {name}; usage: {_GEN_USAGE}")
+    return make(*values)
 
 
 def _load(cfg: RunConfig) -> LoadedGraph:
@@ -404,11 +395,7 @@ def cmd_char(cfg: RunConfig) -> int:
             u, v = to_base(cfg.options["tuple"], 2)
             report = dem2_pair_check(gb, u, v)
         else:
-            for u, v in combinations(range(gb.n), 2):
-                cand = dem2_pair_check(gb, u, v)
-                if cand.all_pass:
-                    report = cand
-                    break
+            report = dem2_first_pass(gb)
         out["found"] = report is not None
         if report is not None:
             out["report"] = _labelled_report(report, lift, label)

@@ -93,8 +93,9 @@ def em_set(g: Graph, x: int) -> EmSet:
     inside a level are never monitored by x.
     """
     _check_vertex(g, x)
-    require_connected(g, "em_set")
     dist = _bfs(g, x)
+    if -1 in dist:
+        require_connected(g, "em_set")
     edges = set()
     for u in range(g.n):
         du = dist[u]

@@ -3,18 +3,18 @@
 The exact solver first strips the input to its 2-core (the minimum is
 invariant under pendant-tree removal), then solves minimum set cover over
 the per-vertex EM sets of the core: elements are core edges, candidate sets
-are EM(x) for each core vertex x.  Branch and bound with fail-first edge
-branching gives the optimum; a second lexicographic pass makes the reported
-monitor set canonical.
+are EM(x) for each core vertex x.  One branch-and-bound search, seeded with
+the greedy cover, returns the optimum that is lexicographically smallest
+over core vertices, so the reported monitor set is canonical.  When the node
+budget runs out, the covers found so far are improved by local search and
+the smallest is returned as inexact.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import ceil
 from time import perf_counter
 
 from .errors import BadParameterError
@@ -54,155 +54,168 @@ class DemResult:
         }
 
 
-def _thread_cap() -> int:
-    try:
-        return max(1, int(os.environ.get("DEMKIT_THREADS", "1")))
-    except ValueError:
-        return 1
+def _greedy_cover(masks: list, full: int) -> list:
+    """Repeatedly take the set covering the most uncovered elements (ties to
+    the lowest index)."""
+    covered = 0
+    chosen = []
+    while covered != full:
+        best_v, best_gain = -1, 0
+        for v, m in enumerate(masks):
+            gain = (m & ~covered).bit_count()
+            if gain > best_gain:
+                best_v, best_gain = v, gain
+        if best_v < 0:
+            raise AssertionError("uncoverable element in set-cover instance")
+        chosen.append(best_v)
+        covered |= masks[best_v]
+    return chosen
 
 
-def _parallel_map(fn, items):
-    cap = _thread_cap()
-    items = list(items)
-    if cap <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(fn, items))
+def _bits(x: int):
+    """Indices of the set bits of x, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
 
-class _BudgetExhausted(Exception):
-    pass
+def _cover_search(masks: list, full: int, incumbent: list, budget: int) -> tuple:
+    """Branch and bound for the lexicographically smallest minimum cover.
+
+    Elements covered by the same sets are merged first, and the merged
+    elements are numbered by how few sets cover them; the covers do not
+    change.  The search is an include-first DFS over set indices on an
+    explicit stack, looking for covers of size <= limit; limit starts at the
+    incumbent's size and drops to one below each cover found.  A node with
+    room for r more sets is pruned when the sets from index idx on cannot
+    cover what is left, when rem uncovered elements exceed r times the
+    largest set, or when more than r uncovered elements pairwise share no
+    set of index >= idx (a packing: each needs a set of its own).
+    Include-first order meets equal-size covers in lexicographic order, and
+    no branch holding an optimum is pruned while limit >= optimum, so the
+    last cover found is the lex-smallest optimum.  Returns (covers, nodes,
+    exact): covers lists the incumbent, then each cover found in order, so
+    the last is the best; exact is False when more than `budget` nodes
+    would be needed.
+    """
+    n = len(masks)
+    holder_masks = [0] * full.bit_length()
+    for v, m in enumerate(masks):
+        for e in _bits(m):
+            holder_masks[e] |= 1 << v
+    classes = sorted(set(holder_masks), key=lambda h: (h.bit_count(), h))
+    holders = [list(_bits(h)) for h in classes]
+    sets = [0] * n
+    for e, hs in enumerate(holders):
+        for v in hs:
+            sets[v] |= 1 << e
+    full = (1 << len(classes)) - 1
+    # reach[e][t]: the elements that share one of holders[e][t:] with e.
+    reach = []
+    for hs in holders:
+        acc, suffix = 0, []
+        for v in reversed(hs):
+            acc |= sets[v]
+            suffix.append(acc)
+        reach.append(suffix[::-1])
+    suffix_or = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix_or[i] = suffix_or[i + 1] | sets[i]
+    max_pop = max((m.bit_count() for m in sets), default=1) or 1
+    covers = [tuple(incumbent)]
+    limit = len(incumbent)
+    nodes = 0
+    stack = [(0, 0, ())]
+    while stack:
+        if nodes == budget:
+            return covers, nodes, False
+        idx, covered, chosen = stack.pop()
+        nodes += 1
+        if covered == full:
+            covers.append(chosen)
+            limit = len(chosen) - 1
+            continue
+        if covered | suffix_or[idx] != full:
+            continue
+        uncovered = full & ~covered
+        room = limit - len(chosen)
+        if uncovered.bit_count() > room * max_pop:
+            continue
+        packed = 0
+        while uncovered and packed <= room:
+            packed += 1
+            e = (uncovered & -uncovered).bit_length() - 1
+            uncovered &= ~reach[e][bisect_left(holders[e], idx)]
+        if packed > room:
+            continue
+        stack.append((idx + 1, covered, chosen))
+        stack.append((idx + 1, covered | sets[idx], chosen + (idx,)))
+    return covers, nodes, True
 
 
-class _CoverSearch:
-    """Branch-and-bound minimum set cover over bitmask-encoded sets."""
+def _improve_cover(masks: list, full: int, cover) -> list:
+    """Local search: replace any r <= 3 sets of the cover by r - 1 sets
+    (dropping redundant ones when r = 1) until no such move exists."""
+    max_pop = max(m.bit_count() for m in masks)
+    holders = {}
 
-    def __init__(self, masks: list, full: int, budget: int):
-        self.masks = masks
-        self.full = full
-        self.budget = budget
-        self.nodes = 0
-        self.max_pop = max((m.bit_count() for m in masks), default=1) or 1
-        nbits = full.bit_length()
-        # For each element, the candidate sets containing it, best coverage first.
-        self.candidates = []
-        order = sorted(range(len(masks)), key=lambda v: (-masks[v].bit_count(), v))
-        for bit in range(nbits):
-            b = 1 << bit
-            self.candidates.append([v for v in order if masks[v] & b])
+    def sets_with_lowest(elems: int) -> list:
+        low = elems & -elems
+        if low not in holders:
+            holders[low] = [v for v, m in enumerate(masks) if m & low]
+        return holders[low]
 
-    def _tick(self):
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise _BudgetExhausted
-
-    def greedy(self) -> list:
-        covered = 0
-        chosen = []
-        while covered != self.full:
-            best_v, best_gain = -1, 0
-            for v, m in enumerate(self.masks):
-                gain = (m & ~covered).bit_count()
-                if gain > best_gain:
-                    best_v, best_gain = v, gain
-            if best_v < 0:
-                raise AssertionError("uncoverable element in set-cover instance")
-            chosen.append(best_v)
-            covered |= self.masks[best_v]
-        return chosen
-
-    def _pick_element(self, covered: int) -> int:
-        # Fail-first: branch on the uncovered element with fewest candidates.
-        rem = self.full & ~covered
-        best_bit, best_count = -1, None
-        while rem:
-            low = rem & -rem
-            bit = low.bit_length() - 1
-            cnt = len(self.candidates[bit])
-            if best_count is None or cnt < best_count:
-                best_bit, best_count = bit, cnt
-            rem ^= low
-        return best_bit
-
-    def solve(self, incumbent: list) -> tuple:
-        """Return (best set, optimal flag).  Counts nodes against the budget."""
-        self.best = list(incumbent)
-        self.best_size = len(incumbent)
-        root_lb = ceil((self.full.bit_count()) / self.max_pop)
-        if root_lb >= self.best_size:
-            return list(self.best), True
-        chosen: list = []
-
-        def rec(covered: int, count: int):
-            self._tick()
-            if covered == self.full:
-                if count < self.best_size:
-                    self.best_size = count
-                    self.best = list(chosen)
-                return
-            rem = (self.full & ~covered).bit_count()
-            if count + ceil(rem / self.max_pop) >= self.best_size:
-                return
-            bit = self._pick_element(covered)
-            for v in self.candidates[bit]:
-                chosen.append(v)
-                rec(covered | self.masks[v], count + 1)
-                chosen.pop()
-
-        try:
-            rec(0, 0)
-        except _BudgetExhausted:
-            return list(self.best), False
-        return list(self.best), True
-
-    def lex_smallest(self, k: int) -> list:
-        """First size-<=k cover in include-first DFS order == lex-smallest k-cover."""
-        n = len(self.masks)
-        suffix_or = [0] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            suffix_or[i] = suffix_or[i + 1] | self.masks[i]
-
-        def rec(idx: int, covered: int, chosen: list):
-            self._tick()
-            if covered == self.full:
-                return list(chosen)
-            if idx == n or len(chosen) == k:
-                return None
-            if covered | suffix_or[idx] != self.full:
-                return None
-            rem = (self.full & ~covered).bit_count()
-            if len(chosen) + ceil(rem / self.max_pop) > k:
-                return None
-            chosen.append(idx)
-            hit = rec(idx + 1, covered | self.masks[idx], chosen)
-            chosen.pop()
-            if hit is not None:
-                return hit
-            return rec(idx + 1, covered, chosen)
-
-        return rec(0, 0, [])
+    cover = list(cover)
+    r = 1
+    while r <= min(3, len(cover)):
+        for group in combinations(cover, r):
+            rest = 0
+            for v in cover:
+                if v not in group:
+                    rest |= masks[v]
+            need = full & ~rest
+            if need.bit_count() > (r - 1) * max_pop:
+                continue
+            swap = () if not need else None
+            if need:
+                for v in sets_with_lowest(need):
+                    left = need & ~masks[v]
+                    if not left:
+                        swap = (v,)
+                        break
+                    if r == 3 and left.bit_count() <= max_pop:
+                        w = next((w for w in sets_with_lowest(left) if not left & ~masks[w]), None)
+                        if w is not None:
+                            swap = (v, w)
+                            break
+            if swap is not None:
+                cover = [v for v in cover if v not in group] + list(swap)
+                r = 1
+                break
+        else:
+            r += 1
+    return cover
 
 
 def _em_masks(g: Graph, edge_index: dict) -> list:
-    def mask_for(x: int) -> int:
-        m = 0
-        for e in em_set(g, x).edges:
-            m |= 1 << edge_index[e]
-        return m
-
-    return _parallel_map(mask_for, range(g.n))
+    # An EM set holds distinct edges, so summing their bits is OR-ing them.
+    return [sum(1 << edge_index[e] for e in em_set(g, x).edges) for x in range(g.n)]
 
 
 def dem_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> DemResult:
     """Provably minimum monitoring set, with certificate.
 
     Intended for cores of up to a couple dozen vertices (the problem is
-    NP-complete in general).  If the node budget runs out the best incumbent
-    is returned with exact=False.  Among equal-size optima, the monitor set
-    that is lexicographically smallest over core vertices is returned.
+    NP-complete in general).  If the node budget runs out, the smallest of
+    the covers found, each improved by local search, is returned with
+    exact=False.  Among equal-size optima, the monitor set that is
+    lexicographically smallest over core vertices is returned.
     """
     if g.n < 2:
         raise BadParameterError("dem is defined for graphs with at least one edge")
+    if budget < 0:
+        raise BadParameterError(f"budget must be >= 0, got {budget}")
     require_connected(g, "dem")
     t0 = perf_counter()
     if is_tree(g):
@@ -221,28 +234,18 @@ def dem_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> DemResult:
     edge_index = {e: i for i, e in enumerate(gb.edges())}
     full = (1 << len(edge_index)) - 1
     masks = _em_masks(gb, edge_index)
-    density_lb = ceil(gb.m / (gb.n - 1)) if gb.n > 1 else 1
-    search = _CoverSearch(masks, full, budget)
-    incumbent = search.greedy()
-    exact = True
-    if density_lb >= len(incumbent):
-        best = incumbent
-    else:
-        best, exact = search.solve(incumbent)
-    if exact:
-        # Canonicalisation pass; running out of budget here does not affect
-        # the proven value, so the phase-1 set is kept in that case.
-        try:
-            lex = search.lex_smallest(len(best))
-        except _BudgetExhausted:
-            lex = None
-        if lex is not None:
-            best = lex
+    incumbent = _greedy_cover(masks, full)
+    covers, nodes, exact = _cover_search(masks, full, incumbent, budget)
+    best = covers[-1]
+    if not exact:
+        # Polishing every cover, not only the last, keeps a larger budget
+        # from ending on a worse result.
+        best = min((_improve_cover(masks, full, c) for c in covers), key=len)
     new_to_old = base.new_to_old
     monitor_set = tuple(sorted(new_to_old[v] for v in best))
     cert = is_monitoring_set(g, monitor_set)
     millis = (perf_counter() - t0) * 1000.0
-    stats = {"nodes": search.nodes, "millis": millis}
+    stats = {"nodes": nodes, "millis": millis}
     if not exact:
         stats["budget_exhausted"] = True
     return DemResult(
@@ -266,8 +269,7 @@ def dem_greedy(g: Graph) -> DemResult:
     edge_index = {e: i for i, e in enumerate(g.edges())}
     full = (1 << len(edge_index)) - 1
     masks = _em_masks(g, edge_index)
-    search = _CoverSearch(masks, full, budget=0)
-    chosen = sorted(search.greedy())
+    chosen = sorted(_greedy_cover(masks, full))
     cert = is_monitoring_set(g, chosen)
     millis = (perf_counter() - t0) * 1000.0
     return DemResult(

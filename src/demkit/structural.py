@@ -235,6 +235,16 @@ def dem2_pair_check(g_b: Graph, u: int, v: int) -> ConditionReport:
     return ConditionReport(vertices=(u, v), conditions=conditions, direct_check=direct)
 
 
+def dem2_first_pass(g_b: Graph) -> Optional[ConditionReport]:
+    """Report of the first pair of a base graph, in combinations order, that
+    passes all two-monitor conditions, or None."""
+    for u, v in combinations(range(g_b.n), 2):
+        report = dem2_pair_check(g_b, u, v)
+        if report.all_pass:
+            return report
+    return None
+
+
 def dem_is_2(g: Graph) -> Optional[tuple]:
     """Search the base graph for a pair passing all two-monitor conditions.
 
@@ -245,27 +255,21 @@ def dem_is_2(g: Graph) -> Optional[tuple]:
     if is_tree(g):
         raise IsTreeError("graph is a tree; the single-monitor characterization applies")
     base = base_graph(g)
-    gb = base.graph
-    lift = base.new_to_old
-    for u, v in combinations(range(gb.n), 2):
-        if dem2_pair_check(gb, u, v).all_pass:
-            return (lift[u], lift[v])
-    return None
+    report = dem2_first_pass(base.graph)
+    if report is None:
+        return None
+    u, v = report.vertices
+    return (base.new_to_old[u], base.new_to_old[v])
 
 
 # ---------------------------------------------------------------------------
 # Three-monitor rules.  Coordinates are distance vectors to (u, v, w).
 # The offsets below transcribe the source condition list verbatim, including
 # its duplicated entries (collapsed by set construction) and asymmetries;
-# empirical agreement with direct_check is reported, not assumed.
+# empirical agreement with direct_check is reported, not assumed.  The
+# independent-cells rule holds for any number of monitors, so the pair
+# rule serves both lists.
 # ---------------------------------------------------------------------------
-
-
-def _t3_rule_independent(g: Graph, prof: LayerProfile) -> ConditionResult:
-    for x, y in g.edges():
-        if prof.cell_of[x] == prof.cell_of[y]:
-            return ConditionResult("independent_cells", False, (x, y))
-    return ConditionResult("independent_cells", True)
 
 
 _BOX_DOWN = tuple(
@@ -562,7 +566,7 @@ def _t3_rule_star3(g: Graph, prof: LayerProfile) -> ConditionResult:
 
 
 _TRIPLE_RULES = (
-    ("independent_cells", _t3_rule_independent),
+    ("independent_cells", _pairs_rule_independent),
     ("unique_parent_per_cell", _t3_rule_unique_parent),
     ("pair_exclusion_a", _make_pair_exclusion_rule("pair_exclusion_a")),
     ("pair_exclusion_b", _make_pair_exclusion_rule("pair_exclusion_b")),

@@ -48,6 +48,15 @@ class TestDemCommand:
         assert code == 4
         assert payload["results"]["exact"]["stats"]["budget_exhausted"] is True
 
+    def test_negative_budget_is_parameter_error(self, capsys):
+        code, out = run_cli(capsys, "dem", "--gen", "cycle:5", "--budget", "-5")
+        assert code == 2 and out == ""
+
+    def test_malformed_gen_params_are_parameter_errors(self, capsys):
+        for spec in ("ad:x,2", "random:10,abc", "tree:x"):
+            code, out = run_cli(capsys, "dem", "--gen", spec)
+            assert code == 2 and out == "", spec
+
     def test_no_timing_in_output(self, capsys):
         _, payload = run_json(capsys, "dem", "--gen", "cycle:5")
         assert "millis" not in payload["results"]["exact"]["stats"]

@@ -11,6 +11,7 @@ from demkit import (
     verify_dem_result,
 )
 from demkit import generators as gen
+from demkit.solvers import _improve_cover
 
 from conftest import attach_pendant_trees, random_connected_graphs
 from oracles import brute_minimum_monitoring, harmonic
@@ -82,6 +83,38 @@ class TestDemExact:
         assert res.stats.get("budget_exhausted")
         assert res.certificate.is_monitoring  # incumbent still valid
 
+    def test_budget_zero_returns_incumbent(self):
+        res = dem_exact(gen.complete(6).graph, budget=0)
+        assert res.value == 5 and not res.exact
+        assert res.stats["nodes"] == 0
+
+    def test_budget_cut_cover_is_improved(self):
+        # The greedy cover of this core has 12 sets and the search finds no
+        # better one in 100 nodes; local search swaps three sets for two.
+        g = gen.random_connected(40, 0.15, seed=1)
+        res = dem_exact(g, budget=100)
+        assert not res.exact and res.value == 11
+        assert res.certificate.is_monitoring
+
+    def test_mid_size_core_parity(self):
+        # A sparse mid-size core: without the packing bound, include-first
+        # order needs millions of nodes here.
+        res = dem_exact(gen.random_connected(40, 0.15, seed=1))
+        assert res.exact and res.value == 10
+        assert res.monitor_set == (0, 2, 4, 12, 13, 18, 22, 24, 25, 37)
+        assert res.stats["nodes"] < 100_000
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(BadParameterError):
+            dem_exact(gen.cycle(5).graph, budget=-1)
+
+    def test_core_over_1000_vertices(self):
+        # The search keeps its own stack, so a 1024-vertex core does not
+        # hit the interpreter's recursion limit.
+        res = dem_exact(gen.grid(32, 32).graph)
+        assert res.value == 32 and res.exact
+        assert res.certificate.is_monitoring
+
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedError):
             dem_exact(build_graph(4, [(0, 1), (2, 3)]))
@@ -94,6 +127,22 @@ class TestDemExact:
         for g in random_connected_graphs(25, 2, 10, seed=8):
             res = dem_exact(g)
             assert 1 <= res.value <= g.n - 1
+
+
+class TestImproveCover:
+    @pytest.mark.parametrize(
+        "masks, cover, improved",
+        [
+            ([0b000011, 0b001100, 0b110000, 0b000111, 0b111000], [0, 1, 2], [3, 4]),
+            ([0b0011, 0b1100, 0b1111], [0, 1], [2]),
+            ([0b0011, 0b1100, 0b0110], [0, 1, 2], [0, 1]),
+            ([0b0011, 0b1100, 0b0110], [0, 1], [0, 1]),
+        ],
+        ids=["three_for_two", "two_for_one", "redundant_dropped", "local_optimum_kept"],
+    )
+    def test_moves(self, masks, cover, improved):
+        full = (1 << max(m.bit_length() for m in masks)) - 1
+        assert sorted(_improve_cover(masks, full, cover)) == improved
 
 
 class TestBaseGraphIdentity:
@@ -174,17 +223,3 @@ class TestVerifyDemResult:
         assert set(js) == {"value", "monitor_set", "exact", "method", "stats"}
         assert "millis" in js["stats"]
         assert "millis" not in res.to_json(include_timing=False)["stats"]
-
-
-class TestThreadCap:
-    def test_thread_env_var_does_not_change_results(self, monkeypatch):
-        g = gen.random_connected(10, 0.4, seed=51)
-        baseline = dem_exact(g)
-        monkeypatch.setenv("DEMKIT_THREADS", "4")
-        threaded = dem_exact(g)
-        assert threaded.monitor_set == baseline.monitor_set
-        assert threaded.value == baseline.value
-
-    def test_garbage_env_var_ignored(self, monkeypatch):
-        monkeypatch.setenv("DEMKIT_THREADS", "lots")
-        assert dem_exact(gen.cycle(5).graph).value == 2
