@@ -85,33 +85,50 @@ def _check_vertex(g: Graph, x: int) -> None:
         raise OutOfRangeError(f"vertex {x} outside 0..{g.n - 1}")
 
 
-def em_set(g: Graph, x: int) -> EmSet:
-    """EM(x) in O(n + m) via one BFS.
+_MANY = -2  # parent marker: the vertex has several neighbours one level closer
 
-    An edge (u, parent) joins consecutive BFS levels; it is monitored by x
-    exactly when parent is u's only neighbor on the level below u.  Edges
+
+def _sweep(g: Graph, x: int) -> tuple[list, list, list]:
+    """One BFS from x: (visit order, distances, unique shortest-path parents).
+
+    parent[v] is v's only neighbour one level closer to x, _MANY when there
+    are several, and -1 for x itself and for unreached vertices (distance
+    -1).  All of v's parents are dequeued while v waits in the queue, so the
+    BFS loop sees each of them and no second adjacency scan is needed.
+    """
+    n = g.n
+    dist = [-1] * n
+    parent = [-1] * n
+    dist[x] = 0
+    order = [x]
+    adj = g._adj
+    for u in order:
+        du1 = dist[u] + 1
+        for w in adj[u]:
+            dw = dist[w]
+            if dw < 0:
+                dist[w] = du1
+                parent[w] = u
+                order.append(w)
+            elif dw == du1:
+                parent[w] = _MANY
+    return order, dist, parent
+
+
+def em_set(g: Graph, x: int) -> EmSet:
+    """EM(x) in O(n + m) from the parents of one BFS sweep.
+
+    x monitors an edge exactly when it joins some v to v's only neighbour
+    one level closer to x: deleting it lengthens every shortest x-v path,
+    while any other edge leaves a shortest path to every vertex.  Edges
     inside a level are never monitored by x.
     """
     _check_vertex(g, x)
-    dist = _bfs(g, x)
-    if -1 in dist:
+    order, _, parent = _sweep(g, x)
+    if len(order) < g.n:
         require_connected(g, "em_set")
-    edges = set()
-    for u in range(g.n):
-        du = dist[u]
-        if du <= 0:
-            continue
-        parent = -1
-        count = 0
-        for w in g._adj[u]:
-            if dist[w] == du - 1:
-                parent = w
-                count += 1
-                if count > 1:
-                    break
-        if count == 1:
-            edges.add(canonical_edge(u, parent))
-    return EmSet(monitor=x, edges=frozenset(edges))
+    edges = frozenset(canonical_edge(v, parent[v]) for v in order if parent[v] >= 0)
+    return EmSet(monitor=x, edges=edges)
 
 
 def em_set_naive(g: Graph, x: int) -> EmSet:
@@ -156,24 +173,60 @@ def p_set(g: Graph, monitors, e: tuple) -> PairSet:
 def is_monitoring_set(g: Graph, monitors) -> MonitoringCertificate:
     """Check whether the union of EM(x) over x in M covers every edge.
 
-    Every covered edge receives a concrete witness pair (x, y), recomputed
-    definitionally (BFS on G-e), never inferred from the fast path.
+    Every covered edge e = (p, v) gets a witness pair (x, y): x is the
+    smallest monitor whose EM set holds e, and y is the smallest vertex
+    whose distance from x changes in G-e.  One BFS per monitor suffices.
+    Since p is v's only parent in the shortest-path DAG rooted at x, the
+    vertices that lose distance in G-e are exactly v's subtree in that
+    DAG's dominator tree, so y is the lowest id in the subtree.
+    verify_dem_result re-checks each witness definitionally (BFS on G-e).
     """
     require_connected(g, "monitoring-set verification")
     ms = sorted(set(monitors))
     for x in ms:
         _check_vertex(g, x)
     witnesses: dict = {}
-    base_dist: dict = {}
+    adj = g._adj
     for x in ms:
-        base_dist[x] = _bfs(g, x)
-        for e in sorted(em_set(g, x).edges):
-            if e in witnesses:
+        order, dist, parent = _sweep(g, x)
+        fresh = []
+        for v in order:
+            if parent[v] >= 0:
+                e = canonical_edge(v, parent[v])
+                if e not in witnesses:
+                    fresh.append((e, v))
+        if not fresh:
+            continue
+        # Dominator tree of the shortest-path DAG, built in BFS order: a
+        # vertex with one parent hangs below it; one with several hangs
+        # below their nearest common dominator, found by walking up from
+        # the farther of two candidates (a dominator is strictly closer to
+        # x, so the farther one, or either on a tie, cannot be it).
+        idom = parent[:]
+        for v in order[1:]:
+            if idom[v] != _MANY:
                 continue
-            after = _bfs(g, x, skip=e)
-            before = base_dist[x]
-            target = next(y for y in range(g.n) if after[y] != before[y])
-            witnesses[e] = (x, target)
+            dv1 = dist[v] - 1
+            a = -1
+            for w in adj[v]:
+                if dist[w] != dv1:
+                    continue
+                if a < 0:
+                    a = w
+                    continue
+                while a != w:
+                    if dist[a] >= dist[w]:
+                        a = idom[a]
+                    else:
+                        w = idom[w]
+            idom[v] = a
+        low = list(range(g.n))
+        for v in reversed(order[1:]):
+            d = idom[v]
+            if low[v] < low[d]:
+                low[d] = low[v]
+        for e, v in sorted(fresh):
+            witnesses[e] = (x, low[v])
     uncovered = frozenset(e for e in g.edges() if e not in witnesses)
     return MonitoringCertificate(witnesses=witnesses, uncovered=uncovered)
 

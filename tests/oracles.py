@@ -4,7 +4,7 @@ Nothing here may call the implementation under test for its answer: the
 point is a second, slower route to the same quantity.  Distances come from
 repeated edge relaxation rather than BFS, connectivity from union-find,
 monitored-set minima from subset enumeration over naively recomputed EM
-sets.
+sets, certificate witnesses from a BFS on G-e for every monitor and edge.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from demkit import em_set_naive, is_monitoring_set
-from demkit.graph import Graph, canonical_edge
+from demkit.graph import Graph, _bfs, canonical_edge
+from demkit.monitor import MonitoringCertificate
 
 
 def relaxation_distances(g: Graph, source: int, skip=None):
@@ -105,6 +106,26 @@ def brute_minimum_via_certificates(g: Graph):
             if is_monitoring_set(g, subset).is_monitoring:
                 return k, subset
     raise AssertionError("vertex set itself must monitor a connected graph")
+
+
+def certificate_naive(g: Graph, monitors) -> MonitoringCertificate:
+    """is_monitoring_set by definition: a BFS on G-e per monitor and edge.
+
+    Each edge is witnessed by the smallest monitor whose distances change
+    when the edge is deleted, paired with the smallest vertex whose
+    distance changes.
+    """
+    witnesses = {}
+    for x in sorted(set(monitors)):
+        before = _bfs(g, x)
+        for e in g.edges():
+            if e in witnesses:
+                continue
+            after = _bfs(g, x, skip=e)
+            if after != before:
+                witnesses[e] = (x, next(y for y in range(g.n) if after[y] != before[y]))
+    uncovered = frozenset(e for e in g.edges() if e not in witnesses)
+    return MonitoringCertificate(witnesses=witnesses, uncovered=uncovered)
 
 
 def enumerate_simple_cycles(g: Graph, cap: int = 20_000):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -71,6 +72,26 @@ class TestOtherCommands:
         _, payload = run_json(capsys, "verify", "--gen", "complete:4", "--monitors", "0,1")
         assert payload["certificate"]["uncovered"] == [[2, 3]]
         assert payload["is_monitoring"] is False
+
+    def test_verify_witnesses_golden(self, capsys):
+        # SHA-256 of the full stdout; pins every witness pair verify prints.
+        cases = {
+            ("--gen", "grid:8,8", "--monitors", "all"): (
+                "bd7fffc4c7c5156ec9ce078990a615be26cd7b3220dd463e74ef355721f26e48"
+            ),
+            (
+                "--gen",
+                "random:40,0.08",
+                "--seed",
+                "7",
+                "--monitors",
+                "0,3,5,8,11,13,17,19,22,25,28,31,34,37",
+            ): "968c520fc54080f2e7b9e2e1271b7a30568c602ca075ed5b4d3561727dc4ff83",
+        }
+        for args, digest in cases.items():
+            code, out = run_cli(capsys, "verify", *args)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, args
 
     def test_pset_double_star_centers(self, capsys):
         _, payload = run_json(

@@ -25,7 +25,7 @@ from demkit.monitor import (
 )
 
 from conftest import family_graphs, random_connected_graphs
-from oracles import cycle_exclusion_applies, is_forest
+from oracles import certificate_naive, cycle_exclusion_applies, is_forest
 
 
 def connected_graph_strategy(min_n=2, max_n=9):
@@ -147,6 +147,35 @@ class TestMonitoringSet:
             before = _bfs(g, x)
             after = _bfs(g, x, skip=e)
             assert before[y] != after[y]
+
+    def test_matches_naive_certificate(self):
+        graphs = [
+            g
+            for i, p in enumerate((0.1, 0.2, 0.4, 0.6))
+            for g in random_connected_graphs(100, 2, 30, seed=101 + i, p_lo=p, p_hi=p)
+        ]
+        graphs += [gen.complete(n).graph for n in range(2, 13)]
+        graphs += [gen.grid(p, q).graph for p, q in ((2, 2), (2, 5), (3, 3), (3, 6), (4, 4), (5, 6))]
+        graphs += [gen.hypercube(d).graph for d in range(1, 6)]
+        graphs += [gen.random_tree(n, seed=n) for n in range(2, 30, 2)]
+        assert len(graphs) >= 400
+        rng = random.Random(5)
+        for g in graphs:
+            for density in rng.sample((0.1, 0.3, 0.6), 2):
+                monitors = [v for v in range(g.n) if rng.random() < density]
+                cert = is_monitoring_set(g, monitors)
+                naive = certificate_naive(g, monitors)
+                assert cert.witnesses == naive.witnesses, (g, monitors)
+                assert cert.uncovered == naive.uncovered, (g, monitors)
+
+    @given(connected_graph_strategy(max_n=14), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_naive_certificate_property(self, g, data):
+        monitors = data.draw(st.lists(st.integers(0, g.n - 1), max_size=g.n))
+        cert = is_monitoring_set(g, monitors)
+        naive = certificate_naive(g, monitors)
+        assert cert.witnesses == naive.witnesses
+        assert cert.uncovered == naive.uncovered
 
     def test_certificate_json_shape(self):
         cert = is_monitoring_set(gen.complete(3).graph, [0])
