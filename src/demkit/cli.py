@@ -226,11 +226,19 @@ def _emit(cfg: RunConfig, payload: dict, loaded: Optional[LoadedGraph] = None, d
         text = to_dot(loaded.graph, labels=loaded.labels, **hints)
     else:
         raise BadParameterError(f"unknown format {cfg.fmt}")
-    if cfg.output:
+    _write(cfg, text)
+
+
+def _write(cfg: RunConfig, text: str) -> None:
+    """Write to --output if given, else to stdout."""
+    if not cfg.output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(cfg.output, "w", encoding="utf-8") as fp:
             fp.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise BadParameterError(f"cannot write {cfg.output}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -347,20 +355,12 @@ def cmd_bounds(cfg: RunConfig) -> int:
 
 def _labelled_report(report, lift, label) -> dict:
     """Serialize a ConditionReport with base-graph ids mapped to input labels."""
-    return report.to_json() | {
-        "tuple": [label(lift[v]) for v in report.vertices],
-        "conditions": [
-            (
-                {"name": c.name, "pass": c.passed}
-                | (
-                    {"witness": [label(lift[w]) for w in c.witness]}
-                    if c.witness is not None
-                    else {}
-                )
-            )
-            for c in report.conditions
-        ],
-    }
+    out = report.to_json()
+    out["tuple"] = [label(lift[v]) for v in report.vertices]
+    for cond in out["conditions"]:
+        if "witness" in cond:
+            cond["witness"] = [label(lift[w]) for w in cond["witness"]]
+    return out
 
 
 def cmd_char(cfg: RunConfig) -> int:
@@ -427,11 +427,7 @@ def cmd_gen(cfg: RunConfig) -> int:
         comments.append(f"params={params}")
     comments.append(f"seed={cfg.seed}")
     text = format_edgelist(inst.graph, header_comments=comments, roles=inst.designated)
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fp:
-            fp.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(cfg, text)
     return 0
 
 
@@ -473,7 +469,7 @@ def main(argv=None) -> int:
     except DisconnectedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (DemkitError, FileNotFoundError) as exc:
+    except DemkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,9 +3,11 @@
 The two- and three-monitor characterizations work on the distance-cell
 partition: each vertex is binned by its distance vector to the candidate
 monitors, and a list of named local rules forbids the patterns that would
-leave some edge unwatched.  Every rule is independently toggleable and each
-report also carries the direct ground-truth check, because parts of the
-three-monitor condition list are suspected to contain transcription errors;
+leave some edge unwatched.  The rules are tables of cell offsets run by one
+pattern matcher (`_Rule`); only `unique_parent_constraints` is written by
+hand.  Each report lists every rule's pass/fail with its witness and also
+carries the direct ground-truth check, because parts of the three-monitor
+condition list are suspected to contain transcription errors;
 disagreement is reported as data, never papered over.
 """
 
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import ceil
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     BadParameterError,
@@ -100,7 +102,7 @@ class ConditionReport:
         for c in self.conditions:
             item = {"name": c.name, "pass": c.passed}
             if c.witness is not None:
-                item["witness"] = _jsonable(c.witness)
+                item["witness"] = list(c.witness)
             conds.append(item)
         return {
             "tuple": list(self.vertices),
@@ -110,14 +112,100 @@ class ConditionReport:
         }
 
 
-def _jsonable(obj):
-    if isinstance(obj, (tuple, list, set, frozenset)):
-        return [_jsonable(x) for x in obj]
-    return obj
+# ---------------------------------------------------------------------------
+# The rule matcher.  A rule fails at the first vertex x (in ascending order)
+# where one of its alternatives (in table order) matches.  An alternative is
+# a sequence of steps; each step picks a neighbour of x or of y, the first
+# vertex picked after x, whose cell is one of its offsets from x's cell or
+# from y's cell, and which differs from every vertex picked so far.
+# Candidates are tried in adjacency order (ascending id) with backtracking,
+# and the first full match, put in the rule's witness order, is the witness.
+# ---------------------------------------------------------------------------
+
+X, Y = 0, 1
+_RADIX = 16
 
 
-def _shift(coord: tuple, offset: tuple) -> tuple:
-    return tuple(c + o for c, o in zip(coord, offset))
+def _encode(vec) -> int:
+    """A distance vector (or an offset) as one int.
+
+    The code is linear, so the difference of two cells' codes is the code
+    of their difference.  A step only compares vertices at most two edges
+    apart, so every coordinate of such a difference, and of every table
+    offset, lies in -2..2; within that range equal codes mean equal vectors.
+    """
+    code = 0
+    for d in vec:
+        code = code * _RADIX + d
+    return code
+
+
+def _step(of: int, from_x=(), from_y=()) -> tuple:
+    """A step: a neighbour of vertex `of` (X or Y) at one of the offsets."""
+    return (of, frozenset(map(_encode, from_x)), frozenset(map(_encode, from_y)))
+
+
+class _Cells(NamedTuple):
+    """The distance-cell partition in the forms the rules read."""
+
+    adj: tuple
+    cell_of: tuple
+    code: list
+    diffs: list  # diffs[x]: the code differences from x to its neighbours
+
+
+@dataclass(frozen=True)
+class _Rule:
+    name: str
+    alternatives: tuple
+    order: tuple  # witness = the picked vertices in this order
+
+    def __call__(self, cells: _Cells) -> ConditionResult:
+        adj, _, code, diffs = cells
+        for x in range(len(adj)):
+            for steps in self.alternatives:
+                # A first step picks a neighbour of x by offsets from x alone.
+                if steps[0][1].isdisjoint(diffs[x]):
+                    continue
+                picked = _extend(adj, code, (x,), steps)
+                if picked is not None:
+                    return ConditionResult(self.name, False, tuple(picked[i] for i in self.order))
+        return ConditionResult(self.name, True)
+
+
+def _extend(adj, code, picked: tuple, steps: tuple) -> Optional[tuple]:
+    """The first completion of `picked` by `steps`, depth first, or None."""
+    if not steps:
+        return picked
+    of, from_x, from_y = steps[0]
+    cx = code[picked[X]]
+    cy = code[picked[Y]] if from_y else 0
+    for w in adj[picked[of]]:
+        cw = code[w]
+        if (cw - cx in from_x or (from_y and cw - cy in from_y)) and w not in picked:
+            found = _extend(adj, code, picked + (w,), steps[1:])
+            if found is not None:
+                return found
+    return None
+
+
+def _evaluate(g: Graph, sources: tuple, rules: tuple) -> tuple:
+    """Each rule's ConditionResult on the cell partition of `sources`."""
+    prof = layer_profile(g, sources)
+    code = [_encode(c) for c in prof.cell_of]
+    adj = g._adj
+    diffs = [{code[w] - cx for w in adj[x]} for x, cx in enumerate(code)]
+    cells = _Cells(adj, prof.cell_of, code, diffs)
+    return tuple(rule(cells) for rule in rules)
+
+
+def _report(g: Graph, sources: tuple, conditions: tuple) -> ConditionReport:
+    direct = is_monitoring_set(g, list(sources)).is_monitoring
+    return ConditionReport(vertices=sources, conditions=conditions, direct_check=direct)
+
+
+# The zero offset has code 0 in any dimension, so this rule serves both lists.
+_INDEPENDENT = _Rule("independent_cells", ((_step(X, [(0, 0)]),),), (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -131,92 +219,53 @@ def _shift(coord: tuple, offset: tuple) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _pairs_rule_independent(g: Graph, prof: LayerProfile) -> ConditionResult:
-    """No edge may join two vertices with the same distance vector."""
-    for x, y in g.edges():
-        if prof.cell_of[x] == prof.cell_of[y]:
-            return ConditionResult("independent_cells", False, (x, y))
-    return ConditionResult("independent_cells", True)
-
-
-def _pairs_rule_unique_parent(g: Graph, prof: LayerProfile) -> ConditionResult:
+def _unique_parent_constraints(cells: _Cells) -> ConditionResult:
     """Neighbor-uniqueness around each vertex.
 
     Two neighbors one step closer to both monitors are always fatal; a
     neighbor one step closer to a single monitor (level with the other)
-    must be the unique neighbor on that monitor's closer level.
+    must be the unique neighbor on that monitor's closer level.  The
+    witness names the first two closer neighbours, which need not match
+    any one cell, so this rule is not a table entry.
     """
-    for x in range(g.n):
-        i, j = prof.cell_of[x]
-        up_u = [w for w in g.neighbors(x) if prof.cell_of[w][0] == i - 1]
-        up_v = [w for w in g.neighbors(x) if prof.cell_of[w][1] == j - 1]
-        diag = [w for w in up_u if prof.cell_of[w][1] == j - 1]
+    adj, cell_of = cells.adj, cells.cell_of
+    for x in range(len(adj)):
+        i, j = cell_of[x]
+        up_u = [w for w in adj[x] if cell_of[w][0] == i - 1]
+        up_v = [w for w in adj[x] if cell_of[w][1] == j - 1]
+        diag = [w for w in up_u if cell_of[w][1] == j - 1]
         if len(diag) > 1:
             return ConditionResult("unique_parent_constraints", False, (x, diag[0], diag[1]))
-        if len(up_u) > 1 and any(prof.cell_of[w] == (i - 1, j) for w in up_u):
+        if len(up_u) > 1 and any(cell_of[w] == (i - 1, j) for w in up_u):
             return ConditionResult("unique_parent_constraints", False, (x, up_u[0], up_u[1]))
-        if len(up_v) > 1 and any(prof.cell_of[w] == (i, j - 1) for w in up_v):
+        if len(up_v) > 1 and any(cell_of[w] == (i, j - 1) for w in up_v):
             return ConditionResult("unique_parent_constraints", False, (x, up_v[0], up_v[1]))
     return ConditionResult("unique_parent_constraints", True)
 
 
-def _pairs_rule_detour_path(g: Graph, prof: LayerProfile) -> ConditionResult:
-    """No 4-vertex path that hands both endpoints of a skew edge a detour.
-
-    A skew edge descends toward one monitor while ascending toward the
-    other, so it needs a unique parent on one of the two sides; the path
-    z-x-y-z' exhibits a second parent on each side at once.  Checked in
-    both monitor orientations.
-    """
-    for x in range(g.n):
-        i, j = prof.cell_of[x]
-        for y in g.neighbors(x):
-            ci, cj = prof.cell_of[y]
-            if (ci, cj) == (i - 1, j + 1):
-                z_cells = {(i - 1, j - 1), (i - 1, j + 1)}
-                zp_cells = {(i - 2, j), (i, j)}
-            elif (ci, cj) == (i + 1, j - 1):
-                z_cells = {(i - 1, j - 1), (i + 1, j - 1)}
-                zp_cells = {(i, j - 2), (i, j)}
-            else:
-                continue
-            zs = [z for z in g.neighbors(x) if z != y and prof.cell_of[z] in z_cells]
-            if not zs:
-                continue
-            for zp in g.neighbors(y):
-                if zp == x or prof.cell_of[zp] not in zp_cells:
-                    continue
-                for z in zs:
-                    if zp != z:
-                        return ConditionResult("forbidden_detour_path", False, (z, x, y, zp))
-    return ConditionResult("forbidden_detour_path", True)
-
-
-def _pairs_rule_three_cells(g: Graph, prof: LayerProfile) -> ConditionResult:
-    """Neighbors in all three marked cells around one vertex are forbidden."""
-    for x in range(g.n):
-        i, j = prof.cell_of[x]
-        fams = (
-            prof.cell((i - 1, j - 1)),
-            prof.cell((i - 1, j + 1)),
-            prof.cell((i + 1, j - 1)),
-        )
-        hits = []
-        for fam in fams:
-            hit = next((w for w in g.neighbors(x) if w in fam), None)
-            if hit is None:
-                break
-            hits.append(hit)
-        if len(hits) == 3:
-            return ConditionResult("three_cell_limit", False, (x,) + tuple(hits))
-    return ConditionResult("three_cell_limit", True)
-
-
 _PAIR_RULES = (
-    _pairs_rule_independent,
-    _pairs_rule_unique_parent,
-    _pairs_rule_detour_path,
-    _pairs_rule_three_cells,
+    _INDEPENDENT,
+    _unique_parent_constraints,
+    # A skew edge x-y descends toward one monitor and ascends toward the
+    # other; the path z-x-y-z' gives it a second parent on both sides.  The
+    # offsets relative to y cover both monitor orientations at once.
+    _Rule(
+        "forbidden_detour_path",
+        (
+            (
+                _step(X, [(-1, 1), (1, -1)]),
+                _step(Y, [(0, 0)], [(-1, -1)]),
+                _step(X, [(-1, -1)], [(0, 0)]),
+            ),
+        ),
+        (3, 0, 1, 2),
+    ),
+    # Neighbors in all three marked cells around one vertex.
+    _Rule(
+        "three_cell_limit",
+        ((_step(X, [(-1, -1)]), _step(X, [(-1, 1)]), _step(X, [(1, -1)])),),
+        (0, 1, 2, 3),
+    ),
 )
 
 
@@ -229,19 +278,16 @@ def dem2_pair_check(g_b: Graph, u: int, v: int) -> ConditionReport:
     """
     if u == v:
         raise BadParameterError("pair check needs two distinct vertices")
-    prof = layer_profile(g_b, (u, v))
-    conditions = tuple(rule(g_b, prof) for rule in _PAIR_RULES)
-    direct = is_monitoring_set(g_b, [u, v]).is_monitoring
-    return ConditionReport(vertices=(u, v), conditions=conditions, direct_check=direct)
+    return _report(g_b, (u, v), _evaluate(g_b, (u, v), _PAIR_RULES))
 
 
 def dem2_first_pass(g_b: Graph) -> Optional[ConditionReport]:
     """Report of the first pair of a base graph, in combinations order, that
     passes all two-monitor conditions, or None."""
-    for u, v in combinations(range(g_b.n), 2):
-        report = dem2_pair_check(g_b, u, v)
-        if report.all_pass:
-            return report
+    for pair in combinations(range(g_b.n), 2):
+        conditions = _evaluate(g_b, pair, _PAIR_RULES)
+        if all(c.passed for c in conditions):
+            return _report(g_b, pair, conditions)
     return None
 
 
@@ -265,10 +311,8 @@ def dem_is_2(g: Graph) -> Optional[tuple]:
 # ---------------------------------------------------------------------------
 # Three-monitor rules.  Coordinates are distance vectors to (u, v, w).
 # The offsets below transcribe the source condition list verbatim, including
-# its duplicated entries (collapsed by set construction) and asymmetries;
-# empirical agreement with direct_check is reported, not assumed.  The
-# independent-cells rule holds for any number of monitors, so the pair
-# rule serves both lists.
+# its duplicated entries and asymmetries; empirical agreement with
+# direct_check is reported, not assumed.
 # ---------------------------------------------------------------------------
 
 
@@ -277,338 +321,144 @@ _BOX_DOWN = tuple(
 )
 
 
-def _t3_rule_unique_parent(g: Graph, prof: LayerProfile) -> ConditionResult:
-    """At most one neighbor per non-increasing cell around each vertex."""
-    for x in range(g.n):
-        c = prof.cell_of[x]
-        for off in _BOX_DOWN:
-            cell = prof.cell(_shift(c, off))
-            hits = [w for w in g.neighbors(x) if w in cell]
-            if len(hits) > 1:
-                return ConditionResult("unique_parent_per_cell", False, (x, hits[0], hits[1]))
-    return ConditionResult("unique_parent_per_cell", True)
+def _pair_exclusion(name: str, trigger, excluded) -> _Rule:
+    """A neighbour y in the trigger cell excludes any other neighbour in
+    the excluded cells."""
+    return _Rule(name, ((_step(X, [trigger]), _step(X, excluded)),), (0, 1, 2))
 
 
-# (trigger offset, excluded offsets) tables for the pairwise-neighbor rules.
-_PAIR_EXCLUSIONS = {
-    "pair_exclusion_a": (
-        (0, -1, 0),
-        tuple((di, -1, dk) for di in (-1, 0, 1) for dk in (-1, 0, 1)),
-    ),
-    "pair_exclusion_b": (
-        (-1, -1, -1),
-        tuple((di, dj, dk) for di in (-1, 0) for dj in (-1, 0) for dk in (-1, 0)),
-    ),
-    "pair_exclusion_c": (
-        (-1, 1, -1),
-        ((-1, 0, -1), (-1, 0, 0), (0, 0, -1)),
-    ),
-    "pair_exclusion_d": (
-        (0, -1, -1),
-        ((-1, -1, -1), (0, -1, -1), (0, 0, -1), (0, -1, 0), (1, -1, -1)),
-    ),
-    "pair_exclusion_e": (
-        (0, -1, 1),
-        ((0, -1, 0),),
-    ),
-}
+def _path(name: str, y, far, near_x) -> _Rule:
+    """Forbidden 4-path z-x-y-z': y at `y`, z' a neighbour of y at `far`,
+    z a neighbour of x at `near_x` (all offsets from x's cell)."""
+    return _Rule(name, ((_step(X, [y]), _step(Y, far), _step(X, near_x)),), (3, 0, 1, 2))
 
 
-def _make_pair_exclusion_rule(name: str):
-    trigger_off, excluded_offs = _PAIR_EXCLUSIONS[name]
-
-    def rule(g: Graph, prof: LayerProfile) -> ConditionResult:
-        for x in range(g.n):
-            c = prof.cell_of[x]
-            trigger = prof.cell(_shift(c, trigger_off))
-            ys = [w for w in g.neighbors(x) if w in trigger]
-            if not ys:
-                continue
-            excluded = set()
-            for off in excluded_offs:
-                excluded |= prof.cell(_shift(c, off))
-            for y in ys:
-                for yp in g.neighbors(x):
-                    if yp != y and yp in excluded:
-                        return ConditionResult(name, False, (x, y, yp))
-        return ConditionResult(name, True)
-
-    rule.__name__ = f"_t3_{name}"
-    return rule
-
-
-def _t3_rule_path_a(g: Graph, prof: LayerProfile) -> ConditionResult:
-    """Forbidden 4-path, variant with the far vertex one step up on two axes."""
-    for x in range(g.n):
-        i, j, k = prof.cell_of[x]
-        for y in g.neighbors(x):
-            if prof.cell_of[y] != (i - 1, j + 1, k + 1):
-                continue
-            z1s = [
-                z
-                for z in g.neighbors(x)
-                if z != y
-                and prof.cell_of[z][0] == i - 1
-                and prof.cell_of[z][1] in (j - 1, j + 1)
-                and prof.cell_of[z][2] in (k - 1, k + 1)
-            ]
-            if not z1s:
-                continue
-            for z2 in g.neighbors(y):
-                if z2 == x:
-                    continue
-                ci, cj, ck = prof.cell_of[z2]
-                if cj == j and ck == k and ci in (i - 2, i):
-                    for z1 in z1s:
-                        if z2 != z1:
-                            return ConditionResult("forbidden_path_a", False, (z1, x, y, z2))
-    return ConditionResult("forbidden_path_a", True)
-
-
-def _t3_rule_path_b(g: Graph, prof: LayerProfile) -> ConditionResult:
-    """Forbidden 4-path, variant pinning the third coordinate."""
-    for x in range(g.n):
-        i, j, k = prof.cell_of[x]
-        for y in g.neighbors(x):
-            if prof.cell_of[y] != (i - 1, j + 1, k + 1):
-                continue
-            z1s = [
-                z
-                for z in g.neighbors(x)
-                if z != y
-                and prof.cell_of[z][0] == i - 1
-                and prof.cell_of[z][1] in (j - 1, j + 1)
-                and prof.cell_of[z][2] == k - 1
-            ]
-            if not z1s:
-                continue
-            for z2 in g.neighbors(y):
-                if z2 == x:
-                    continue
-                ci, cj, ck = prof.cell_of[z2]
-                if cj == j and ck in (k - 2, k) and ci in (i - 2, i):
-                    for z1 in z1s:
-                        if z2 != z1:
-                            return ConditionResult("forbidden_path_b", False, (z1, x, y, z2))
-    return ConditionResult("forbidden_path_b", True)
-
-
-_PATH_C_Z2 = (
-    (-1, -1, -1), (-1, -1, 0), (-1, -1, 1),
-    (0, -1, -1), (0, -1, 1),
-    (1, -1, -1), (1, -1, 0), (1, -1, 1),
-)
-_PATH_C_Z3 = (
-    (-1, -2, 0), (-1, -1, 0), (-1, 0, 0),
-    (0, -2, 0), (0, 0, 0),
-    (1, -2, 0), (1, -1, 0), (1, 0, 0),
-)
-
-
-def _t3_rule_path_c(g: Graph, prof: LayerProfile) -> ConditionResult:
-    """Forbidden 4-path, variant around a sideways-and-up neighbor."""
-    for x in range(g.n):
-        c = prof.cell_of[x]
-        i, j, k = c
-        for y in g.neighbors(x):
-            if prof.cell_of[y] != (i, j - 1, k + 1):
-                continue
-            z2cells = {_shift(c, off) for off in _PATH_C_Z2}
-            z3cells = {_shift(c, off) for off in _PATH_C_Z3}
-            z2s = [z for z in g.neighbors(x) if z != y and prof.cell_of[z] in z2cells]
-            if not z2s:
-                continue
-            for z3 in g.neighbors(y):
-                if z3 == x or prof.cell_of[z3] not in z3cells:
-                    continue
-                for z2 in z2s:
-                    if z3 != z2:
-                        return ConditionResult("forbidden_path_c", False, (z2, x, y, z3))
-    return ConditionResult("forbidden_path_c", True)
-
-
-def _t3_rule_three_families(g: Graph, prof: LayerProfile) -> ConditionResult:
-    """Neighbors in all three of the marked down/up families are forbidden."""
-    for x in range(g.n):
-        c = prof.cell_of[x]
-        fam_a = prof.cell(_shift(c, (-1, -1, -1)))
-        fam_b = prof.cell(_shift(c, (1, -1, -1)))
-        fam_c = frozenset().union(
-            *(prof.cell(_shift(c, (-1, 1, dk))) for dk in (-1, 0, 1))
-        )
-        ha = next((w for w in g.neighbors(x) if w in fam_a), None)
-        if ha is None:
-            continue
-        hb = next((w for w in g.neighbors(x) if w in fam_b), None)
-        if hb is None:
-            continue
-        hc = next((w for w in g.neighbors(x) if w in fam_c), None)
-        if hc is not None:
-            return ConditionResult("three_family_limit", False, (x, ha, hb, hc))
-    return ConditionResult("three_family_limit", True)
-
-
-_STAR4_Z1 = ((-1, -1, 1), (-1, 0, 1), (-1, 1, -1), (-1, 1, 0), (-1, 1, 1))
-_STAR4_Z2 = ((-1, -1, 1), (0, -1, 1), (1, -1, -1), (1, -1, 0), (1, -1, 1))
-_STAR4_Z3 = ((-1, 1, -1), (0, 1, -1), (1, -1, -1), (1, 0, -1), (1, 1, -1))
-
-
-def _t3_rule_star4(g: Graph, prof: LayerProfile) -> ConditionResult:
-    """Forbidden 4-star centred on a vertex with a triple-down neighbor."""
-    for x in range(g.n):
-        c = prof.cell_of[x]
-        down = prof.cell(_shift(c, (-1, -1, -1)))
-        nbrs = g.neighbors(x)
-        ys = [w for w in nbrs if w in down]
-        if not ys:
-            continue
-        c1 = {_shift(c, o) for o in _STAR4_Z1}
-        c2 = {_shift(c, o) for o in _STAR4_Z2}
-        c3 = {_shift(c, o) for o in _STAR4_Z3}
-        for y in ys:
-            z1s = [w for w in nbrs if w != y and prof.cell_of[w] in c1]
-            z2s = [w for w in nbrs if w != y and prof.cell_of[w] in c2]
-            z3s = [w for w in nbrs if w != y and prof.cell_of[w] in c3]
-            for z1 in z1s:
-                for z2 in z2s:
-                    if z2 == z1:
-                        continue
-                    for z3 in z3s:
-                        if z3 not in (z1, z2):
-                            return ConditionResult("forbidden_star4", False, (x, y, z1, z2, z3))
-    return ConditionResult("forbidden_star4", True)
-
-
-_P4P_A_Y = (-1, 1, -1)
-_P4P_A_Z1 = (
-    (-1, -1, -1), (-1, -1, 0), (-1, -1, 1), (-1, 0, 1),
-    (-1, 1, -1), (-1, 1, 0), (-1, 1, 1),
-)
-_P4P_A_Z2 = (
-    (-2, 0, -2), (-2, 0, -1), (-2, 0, 0), (-1, 0, -2),
-    (-1, 0, 0), (0, 0, -2), (0, 0, -1), (0, 0, 0),
-)
-_P4P_A_Z3 = (
-    (-1, -1, -1), (-1, 1, -1), (0, -1, -1), (0, 1, -1),
-    (1, -1, -1), (1, 0, -1), (1, 1, -1),
-)
-
-_P4P_B_Y = (1, -1, -1)
-_P4P_B_Z1 = (
-    (0, -2, -2), (0, -2, -1), (0, -2, 0), (0, -1, -2),
-    (0, -1, 0), (0, 0, -2), (0, 0, -1),
-)
-_P4P_B_Z2 = (
-    (-1, -1, -1), (-1, -1, 0), (-1, -1, 1), (0, -1, -1),
-    (0, -1, 0), (1, -1, 1), (1, -1, -1), (1, -1, 0),
-)
-_P4P_B_Z3 = (
-    (-1, -1, -1), (-1, 0, -1), (-2, 1, -1), (0, -1, -1),
-    (0, 0, -1), (0, 1, -1), (1, -1, -1), (1, 0, -1), (1, 1, -1),
-)
-
-
-def _make_p4plus_rule(name: str, y_off, x_leaf_offs, y_leaf_offs):
-    def rule(g: Graph, prof: LayerProfile) -> ConditionResult:
-        for x in range(g.n):
-            c = prof.cell_of[x]
-            ycell = prof.cell(_shift(c, y_off))
-            nbrs = g.neighbors(x)
-            ys = [w for w in nbrs if w in ycell]
-            if not ys:
-                continue
-            xcells = [{_shift(c, o) for o in offs} for offs in x_leaf_offs]
-            ycells = {_shift(c, o) for o in y_leaf_offs}
-            for y in ys:
-                la = [w for w in nbrs if w != y and prof.cell_of[w] in xcells[0]]
-                lb = [w for w in nbrs if w != y and prof.cell_of[w] in xcells[1]]
-                if not la or not lb:
-                    continue
-                for z_pend in g.neighbors(y):
-                    if z_pend == x or prof.cell_of[z_pend] not in ycells:
-                        continue
-                    for a in la:
-                        if a == z_pend:
-                            continue
-                        for b in lb:
-                            if b not in (a, z_pend):
-                                return ConditionResult(name, False, (x, y, a, b, z_pend))
-        return ConditionResult(name, True)
-
-    rule.__name__ = f"_t3_{name}"
-    return rule
-
-
-_STAR3_Y = (0, -1, -1)
-_STAR3_A = ((-1, -1, 0), (-1, -1, 1), (0, -1, 1), (1, -1, 0), (1, -1, 1))
-_STAR3_B = ((-1, 0, -1), (-1, 1, -1), (0, 1, -1), (1, 0, -1), (1, 1, -1))
-
-
-def _t3_rule_star3(g: Graph, prof: LayerProfile) -> ConditionResult:
-    """Forbidden 3-star around a double-down neighbor."""
-    for x in range(g.n):
-        c = prof.cell_of[x]
-        ycell = prof.cell(_shift(c, _STAR3_Y))
-        nbrs = g.neighbors(x)
-        ys = [w for w in nbrs if w in ycell]
-        if not ys:
-            continue
-        ca = {_shift(c, o) for o in _STAR3_A}
-        cb = {_shift(c, o) for o in _STAR3_B}
-        for y in ys:
-            las = [w for w in nbrs if w != y and prof.cell_of[w] in ca]
-            lbs = [w for w in nbrs if w != y and prof.cell_of[w] in cb]
-            for a in las:
-                for b in lbs:
-                    if b != a:
-                        return ConditionResult("forbidden_star3", False, (x, y, a, b))
-    return ConditionResult("forbidden_star3", True)
+def _p4plus(name: str, y, pendant, leaf_a, leaf_b) -> _Rule:
+    """Forbidden path x-y-z with two more leaves a, b on x."""
+    return _Rule(
+        name,
+        ((_step(X, [y]), _step(Y, pendant), _step(X, leaf_a), _step(X, leaf_b)),),
+        (0, 1, 3, 4, 2),
+    )
 
 
 _TRIPLE_RULES = (
-    ("independent_cells", _pairs_rule_independent),
-    ("unique_parent_per_cell", _t3_rule_unique_parent),
-    ("pair_exclusion_a", _make_pair_exclusion_rule("pair_exclusion_a")),
-    ("pair_exclusion_b", _make_pair_exclusion_rule("pair_exclusion_b")),
-    ("pair_exclusion_c", _make_pair_exclusion_rule("pair_exclusion_c")),
-    ("pair_exclusion_d", _make_pair_exclusion_rule("pair_exclusion_d")),
-    ("pair_exclusion_e", _make_pair_exclusion_rule("pair_exclusion_e")),
-    ("forbidden_path_a", _t3_rule_path_a),
-    ("forbidden_path_b", _t3_rule_path_b),
-    ("forbidden_path_c", _t3_rule_path_c),
-    ("three_family_limit", _t3_rule_three_families),
-    ("forbidden_star4", _t3_rule_star4),
-    (
+    _INDEPENDENT,
+    # At most one neighbor per non-increasing cell around each vertex.
+    _Rule(
+        "unique_parent_per_cell",
+        tuple((_step(X, [off]), _step(X, [off])) for off in _BOX_DOWN),
+        (0, 1, 2),
+    ),
+    _pair_exclusion(
+        "pair_exclusion_a",
+        (0, -1, 0),
+        [(di, -1, dk) for di in (-1, 0, 1) for dk in (-1, 0, 1)],
+    ),
+    _pair_exclusion(
+        "pair_exclusion_b",
+        (-1, -1, -1),
+        [(di, dj, dk) for di in (-1, 0) for dj in (-1, 0) for dk in (-1, 0)],
+    ),
+    _pair_exclusion("pair_exclusion_c", (-1, 1, -1), [(-1, 0, -1), (-1, 0, 0), (0, 0, -1)]),
+    _pair_exclusion(
+        "pair_exclusion_d",
+        (0, -1, -1),
+        [(-1, -1, -1), (0, -1, -1), (0, 0, -1), (0, -1, 0), (1, -1, -1)],
+    ),
+    _pair_exclusion("pair_exclusion_e", (0, -1, 1), [(0, -1, 0)]),
+    _path(
+        "forbidden_path_a",
+        (-1, 1, 1),
+        [(-2, 0, 0), (0, 0, 0)],
+        [(-1, dj, dk) for dj in (-1, 1) for dk in (-1, 1)],
+    ),
+    _path(
+        "forbidden_path_b",
+        (-1, 1, 1),
+        [(di, 0, dk) for di in (-2, 0) for dk in (-2, 0)],
+        [(-1, -1, -1), (-1, 1, -1)],
+    ),
+    _path(
+        "forbidden_path_c",
+        (0, -1, 1),
+        [(-1, -2, 0), (-1, -1, 0), (-1, 0, 0), (0, -2, 0),
+         (0, 0, 0), (1, -2, 0), (1, -1, 0), (1, 0, 0)],
+        [(-1, -1, -1), (-1, -1, 0), (-1, -1, 1), (0, -1, -1),
+         (0, -1, 1), (1, -1, -1), (1, -1, 0), (1, -1, 1)],
+    ),
+    # Neighbors in all three of the marked down/up families.
+    _Rule(
+        "three_family_limit",
+        (
+            (
+                _step(X, [(-1, -1, -1)]),
+                _step(X, [(1, -1, -1)]),
+                _step(X, [(-1, 1, dk) for dk in (-1, 0, 1)]),
+            ),
+        ),
+        (0, 1, 2, 3),
+    ),
+    # Forbidden 4-star centred on a vertex with a triple-down neighbor.
+    _Rule(
+        "forbidden_star4",
+        (
+            (
+                _step(X, [(-1, -1, -1)]),
+                _step(X, [(-1, -1, 1), (-1, 0, 1), (-1, 1, -1), (-1, 1, 0), (-1, 1, 1)]),
+                _step(X, [(-1, -1, 1), (0, -1, 1), (1, -1, -1), (1, -1, 0), (1, -1, 1)]),
+                _step(X, [(-1, 1, -1), (0, 1, -1), (1, -1, -1), (1, 0, -1), (1, 1, -1)]),
+            ),
+        ),
+        (0, 1, 2, 3, 4),
+    ),
+    _p4plus(
         "forbidden_p4plus_a",
-        _make_p4plus_rule("forbidden_p4plus_a", _P4P_A_Y, (_P4P_A_Z1, _P4P_A_Z3), _P4P_A_Z2),
+        (-1, 1, -1),
+        [(-2, 0, -2), (-2, 0, -1), (-2, 0, 0), (-1, 0, -2),
+         (-1, 0, 0), (0, 0, -2), (0, 0, -1), (0, 0, 0)],
+        [(-1, -1, -1), (-1, -1, 0), (-1, -1, 1), (-1, 0, 1),
+         (-1, 1, -1), (-1, 1, 0), (-1, 1, 1)],
+        [(-1, -1, -1), (-1, 1, -1), (0, -1, -1), (0, 1, -1),
+         (1, -1, -1), (1, 0, -1), (1, 1, -1)],
     ),
-    (
+    _p4plus(
         "forbidden_p4plus_b",
-        _make_p4plus_rule("forbidden_p4plus_b", _P4P_B_Y, (_P4P_B_Z2, _P4P_B_Z3), _P4P_B_Z1),
+        (1, -1, -1),
+        [(0, -2, -2), (0, -2, -1), (0, -2, 0), (0, -1, -2),
+         (0, -1, 0), (0, 0, -2), (0, 0, -1)],
+        [(-1, -1, -1), (-1, -1, 0), (-1, -1, 1), (0, -1, -1),
+         (0, -1, 0), (1, -1, 1), (1, -1, -1), (1, -1, 0)],
+        [(-1, -1, -1), (-1, 0, -1), (-2, 1, -1), (0, -1, -1),
+         (0, 0, -1), (0, 1, -1), (1, -1, -1), (1, 0, -1), (1, 1, -1)],
     ),
-    ("forbidden_star3", _t3_rule_star3),
+    # Forbidden 3-star around a double-down neighbor.
+    _Rule(
+        "forbidden_star3",
+        (
+            (
+                _step(X, [(0, -1, -1)]),
+                _step(X, [(-1, -1, 0), (-1, -1, 1), (0, -1, 1), (1, -1, 0), (1, -1, 1)]),
+                _step(X, [(-1, 0, -1), (-1, 1, -1), (0, 1, -1), (1, 0, -1), (1, 1, -1)]),
+            ),
+        ),
+        (0, 1, 2, 3),
+    ),
 )
 
-DEM3_RULE_NAMES = tuple(name for name, _ in _TRIPLE_RULES)
+DEM3_RULE_NAMES = tuple(rule.name for rule in _TRIPLE_RULES)
 
 
-def dem3_triple_check(g_b: Graph, u: int, v: int, w: int, rules=None) -> ConditionReport:
+def dem3_triple_check(g_b: Graph, u: int, v: int, w: int) -> ConditionReport:
     """Evaluate the three-monitor cell rules for (u, v, w) on a base graph.
 
-    The named rules transcribe a condition list with suspected typos, so the
+    The rules transcribe a condition list with suspected typos, so the
     report always carries the ground-truth direct check and a discrepancy
-    flag instead of asserting agreement.  `rules` selects a subset by name.
+    flag instead of asserting agreement.
     """
     if len({u, v, w}) != 3:
         raise BadParameterError("triple check needs three distinct vertices")
-    enabled = set(DEM3_RULE_NAMES if rules is None else rules)
-    unknown = enabled - set(DEM3_RULE_NAMES)
-    if unknown:
-        raise BadParameterError(f"unknown rule names: {sorted(unknown)}")
-    prof = layer_profile(g_b, (u, v, w))
-    conditions = tuple(rule(g_b, prof) for name, rule in _TRIPLE_RULES if name in enabled)
-    direct = is_monitoring_set(g_b, [u, v, w]).is_monitoring
-    return ConditionReport(vertices=(u, v, w), conditions=conditions, direct_check=direct)
+    return _report(g_b, (u, v, w), _evaluate(g_b, (u, v, w), _TRIPLE_RULES))
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,18 @@ class TestOtherCommands:
         assert "discrepancy" in payload
         assert payload["report"]["direct_check"] is True
 
+    def test_char_target3_tuple_golden(self, capsys):
+        # SHA-256 of the full stdout for a triple that fails four rules, on a
+        # graph whose base-graph ids differ from its input ids.
+        code, out = run_cli(
+            capsys, "char", "--gen", "random:14,0.2", "--seed", "3",
+            "--target", "3", "--tuple", "0,6,12",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ec0f4c12ef9524a704dabdd1fefbc5b2a5e6b241a25af0c47ad973a789c3fdde"
+        )
+
     def test_char_target3_no_triple(self, capsys):
         # base graph of cycle:3 has only 3 vertices; the one triple monitors
         _, payload = run_json(capsys, "char", "--gen", "cycle:3", "--target", "3")
@@ -179,6 +191,12 @@ class TestDeterminismAndErrors:
     def test_missing_file_exit2(self, capsys):
         code, _ = run_cli(capsys, "dem", "/nonexistent/file.el")
         assert code == 2
+
+    def test_unwritable_output_exit2(self, capsys, tmp_path):
+        for argv in (("dem", "--gen", "cycle:5"), ("gen", "cycle:5")):
+            code = main([*argv, "--output", str(tmp_path)])
+            assert code == 2, argv
+            assert "cannot write" in capsys.readouterr().err
 
     def test_disconnected_exit3(self, capsys, tmp_path):
         f = tmp_path / "disc.el"
