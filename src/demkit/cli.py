@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io as _io
 import json
 import sys
@@ -49,6 +50,7 @@ class RunConfig:
     options: dict = field(default_factory=dict)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="demkit", description="distance-edge monitoring computations"

@@ -245,7 +245,7 @@ def degree_extremes(g: Graph) -> tuple[int, int]:
 
 
 def is_tree(g: Graph) -> bool:
-    return is_connected(g) and g.m == g.n - 1
+    return g.m == g.n - 1 and is_connected(g)
 
 
 def is_complete(g: Graph) -> bool:

@@ -131,6 +131,65 @@ def em_set(g: Graph, x: int) -> EmSet:
     return EmSet(monitor=x, edges=edges)
 
 
+def _em_holders(g: Graph) -> list:
+    """For the i-th edge of g.edges(), the bitmask of the x with it in EM(x).
+
+    em_set's unique-parent rule for every source at once: a multi-source
+    BFS, level by level, with one bit per source.  At level k, front[v]
+    holds the sources at distance exactly k from v and seen[v] those at
+    distance <= k.  A source new to v at level k + 1 lies in the front of
+    one or of several neighbours of v; where it is one neighbour w, that
+    neighbour is v's only parent, and the source monitors the edge (v, w).
+    A vertex that has seen every source drops out of the scan.  In a
+    connected graph every remaining vertex meets new sources at every
+    level (the vertices of a shortest path to an unseen source lie at every
+    distance), so a vertex that meets none means the graph is disconnected,
+    and the scan stops there.
+    """
+    n = g.n
+    adj = g._adj
+    # nbrs[v]: (w, index of the edge (v, w) in g.edges()) per neighbour w.
+    nbrs: list = [[] for _ in range(n)]
+    m = 0
+    for u in range(n):
+        for v in adj[u]:
+            if v > u:
+                nbrs[u].append((v, m))
+                nbrs[v].append((u, m))
+                m += 1
+    holders = [0] * m
+    seen = [1 << v for v in range(n)]
+    front = seen[:]
+    full = (1 << n) - 1
+    active = list(range(n))
+    while active:
+        nxt = [0] * n
+        still = []
+        for v in active:
+            once = twice = 0
+            for w in adj[v]:
+                f = front[w]
+                twice |= once & f
+                once |= f
+            new = once & ~seen[v]
+            if not new:
+                require_connected(g, "EM sets")
+            nxt[v] = new
+            uniq = new & ~twice
+            if uniq:
+                for w, e in nbrs[v]:
+                    h = front[w] & uniq
+                    if h:
+                        holders[e] |= h
+            s = seen[v] | new
+            seen[v] = s
+            if s != full:
+                still.append(v)
+        front = nxt
+        active = still
+    return holders
+
+
 def em_set_naive(g: Graph, x: int) -> EmSet:
     """EM(x) straight from the definition: delete each edge and re-run BFS.
 

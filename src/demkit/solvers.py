@@ -12,14 +12,13 @@ the smallest is returned as inexact.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import combinations
 from time import perf_counter
 
 from .errors import BadParameterError
 from .graph import Graph, _bfs, base_graph, canonical_edge, is_tree, require_connected
-from .monitor import MonitoringCertificate, em_set, em_set_naive, is_monitoring_set
+from .monitor import MonitoringCertificate, _em_holders, em_set_naive, is_monitoring_set
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -80,8 +79,11 @@ def _bits(x: int):
         x ^= low
 
 
-def _cover_search(masks: list, full: int, incumbent: list, budget: int) -> tuple:
+def _cover_search(holders: list, incumbent: list, budget: int) -> tuple:
     """Branch and bound for the lexicographically smallest minimum cover.
+
+    holders[e] is the bitmask of the sets that cover element e; sets are
+    numbered from 0 to the highest set in any mask.
 
     Elements covered by the same sets are merged first, and the merged
     elements are numbered by how few sets cover them; the covers do not
@@ -99,26 +101,23 @@ def _cover_search(masks: list, full: int, incumbent: list, budget: int) -> tuple
     the last is the best; exact is False when more than `budget` nodes
     would be needed.
     """
-    n = len(masks)
-    holder_masks = [0] * full.bit_length()
-    for v, m in enumerate(masks):
-        for e in _bits(m):
-            holder_masks[e] |= 1 << v
-    classes = sorted(set(holder_masks), key=lambda h: (h.bit_count(), h))
-    holders = [list(_bits(h)) for h in classes]
+    n = max(map(int.bit_length, holders), default=0)
+    classes = sorted(set(holders), key=lambda h: (h.bit_count(), h))
     sets = [0] * n
-    for e, hs in enumerate(holders):
-        for v in hs:
+    for e, h in enumerate(classes):
+        for v in _bits(h):
             sets[v] |= 1 << e
     full = (1 << len(classes)) - 1
-    # reach[e][t]: the elements that share one of holders[e][t:] with e.
-    reach = []
-    for hs in holders:
-        acc, suffix = 0, []
-        for v in reversed(hs):
-            acc |= sets[v]
-            suffix.append(acc)
-        reach.append(suffix[::-1])
+    # keep[idx][e]: the elements that share no set of index >= idx with e.
+    # Only elements with such a set are read: the suffix_or test prunes a
+    # node before its packing loop sees an element no set from idx on covers.
+    keep = [None] * n
+    row = [full] * len(classes)
+    for idx in range(n - 1, -1, -1):
+        rest = full & ~sets[idx]
+        for e in _bits(sets[idx]):
+            row[e] &= rest
+        keep[idx] = row[:]
     suffix_or = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix_or[i] = suffix_or[i + 1] | sets[i]
@@ -143,10 +142,10 @@ def _cover_search(masks: list, full: int, incumbent: list, budget: int) -> tuple
         if uncovered.bit_count() > room * max_pop:
             continue
         packed = 0
+        k = keep[idx]
         while uncovered and packed <= room:
             packed += 1
-            e = (uncovered & -uncovered).bit_length() - 1
-            uncovered &= ~reach[e][bisect_left(holders[e], idx)]
+            uncovered &= k[(uncovered & -uncovered).bit_length() - 1]
         if packed > room:
             continue
         stack.append((idx + 1, covered, chosen))
@@ -198,9 +197,16 @@ def _improve_cover(masks: list, full: int, cover) -> list:
     return cover
 
 
-def _em_masks(g: Graph, edge_index: dict) -> list:
-    # An EM set holds distinct edges, so summing their bits is OR-ing them.
-    return [sum(1 << edge_index[e] for e in em_set(g, x).edges) for x in range(g.n)]
+def _transpose(holders: list, n: int) -> list:
+    """Per-set masks over elements from per-element masks over n sets."""
+    masks = [0] * n
+    for e, h in enumerate(holders):
+        bit = 1 << e
+        while h:
+            low = h & -h
+            masks[low.bit_length() - 1] |= bit
+            h ^= low
+    return masks
 
 
 def dem_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> DemResult:
@@ -231,11 +237,11 @@ def dem_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> DemResult:
         )
     base = base_graph(g)
     gb = base.graph
-    edge_index = {e: i for i, e in enumerate(gb.edges())}
-    full = (1 << len(edge_index)) - 1
-    masks = _em_masks(gb, edge_index)
+    holders = _em_holders(gb)
+    full = (1 << len(holders)) - 1
+    masks = _transpose(holders, gb.n)
     incumbent = _greedy_cover(masks, full)
-    covers, nodes, exact = _cover_search(masks, full, incumbent, budget)
+    covers, nodes, exact = _cover_search(holders, incumbent, budget)
     best = covers[-1]
     if not exact:
         # Polishing every cover, not only the last, keeps a larger budget
@@ -266,9 +272,9 @@ def dem_greedy(g: Graph) -> DemResult:
         raise BadParameterError("dem is defined for graphs with at least one edge")
     require_connected(g, "dem")
     t0 = perf_counter()
-    edge_index = {e: i for i, e in enumerate(g.edges())}
-    full = (1 << len(edge_index)) - 1
-    masks = _em_masks(g, edge_index)
+    holders = _em_holders(g)
+    full = (1 << len(holders)) - 1
+    masks = _transpose(holders, g.n)
     chosen = sorted(_greedy_cover(masks, full))
     cert = is_monitoring_set(g, chosen)
     millis = (perf_counter() - t0) * 1000.0

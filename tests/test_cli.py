@@ -4,7 +4,7 @@ from pathlib import Path
 
 import jsonschema
 
-from demkit.cli import main
+from demkit.cli import _build_parser, main
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report_schema.json").read_text()
@@ -182,6 +182,20 @@ class TestDeterminismAndErrors:
             outs.add(out)
         assert len(outs) == 1
 
+    def test_reused_parser_carries_no_flags(self, capsys):
+        # The parser is built once per process; a flag given to one call
+        # must not leak into the next, whatever the subcommand.
+        calls = [
+            ("dem", "--gen", "grid:4,4", "--budget", "1", "--format", "text"),
+            ("em", "--gen", "cycle:6", "--vertex", "2", "--format", "csv"),
+            ("dem", "--gen", "grid:4,4"),
+        ]
+        first = [run_cli(capsys, *argv) for argv in calls]
+        assert [code for code, _ in first] == [4, 0, 0]
+        assert json.loads(first[2][1])["results"]["exact"]["exact"] is True
+        assert [run_cli(capsys, *argv) for argv in calls] == first
+        assert _build_parser() is _build_parser()
+
     def test_parse_error_exit2(self, capsys, tmp_path):
         bad = tmp_path / "bad.el"
         bad.write_text("not a graph\n")
@@ -201,8 +215,9 @@ class TestDeterminismAndErrors:
     def test_disconnected_exit3(self, capsys, tmp_path):
         f = tmp_path / "disc.el"
         f.write_text("4 2\n0 1\n2 3\n")
-        code, _ = run_cli(capsys, "dem", str(f))
-        assert code == 3
+        for method in ("exact", "greedy", "both"):
+            code, _ = run_cli(capsys, "dem", str(f), "--method", method)
+            assert code == 3, method
 
     def test_two_sources_rejected(self, capsys, tmp_path):
         f = tmp_path / "g.el"

@@ -19,6 +19,7 @@ from demkit import (
 from demkit import generators as gen
 from demkit.graph import _bfs, canonical_edge, degree_extremes
 from demkit.monitor import (
+    _em_holders,
     em_incident_only_condition,
     enumerate_shortest_paths,
     has_two_nearly_disjoint_shortest_paths,
@@ -84,6 +85,53 @@ class TestEmSet:
         for x in range(g.n):
             image = {canonical_edge(perm[a], perm[b]) for a, b in em_set(g, x).edges}
             assert em_set(relabeled, perm[x]).edges == image
+
+
+def holder_em_sets(g):
+    """EM(x) for every x, read off _em_holders."""
+    edges = list(g.edges())
+    holders = _em_holders(g)
+    assert len(holders) == len(edges)
+    return [{e for e, h in zip(edges, holders) if h >> x & 1} for x in range(g.n)]
+
+
+class TestEmHolders:
+    def test_matches_em_set(self):
+        graphs = random_connected_graphs(150, 2, 45, seed=303, p_lo=0.05, p_hi=0.8)
+        graphs += [gen.complete(n).graph for n in (2, 3, 7, 16)]
+        graphs += [gen.hypercube(d).graph for d in range(1, 7)]
+        graphs += [gen.petersen().graph]
+        graphs += [gen.cycle(n).graph for n in (3, 4, 5, 17, 64, 255, 400)]
+        graphs += [gen.grid(p, q).graph for p, q in ((2, 2), (2, 9), (5, 5), (4, 11), (12, 12))]
+        graphs += [gen.random_tree(n, seed=n) for n in (2, 9, 40)]
+        for g in graphs:
+            assert holder_em_sets(g) == [em_set(g, x).edges for x in range(g.n)], g
+
+    @settings(max_examples=80, deadline=None)
+    @given(connected_graph_strategy(min_n=2, max_n=30))
+    def test_matches_em_set_property(self, g):
+        assert holder_em_sets(g) == [em_set(g, x).edges for x in range(g.n)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(connected_graph_strategy(min_n=2, max_n=12))
+    def test_matches_naive(self, g):
+        assert holder_em_sets(g) == [em_set_naive(g, x).edges for x in range(g.n)]
+
+    def test_single_vertex(self):
+        assert _em_holders(build_graph(1, [])) == []
+
+    @pytest.mark.parametrize(
+        "n,edges",
+        [
+            (2, []),
+            (4, [(0, 1), (2, 3)]),
+            (5, [(0, 1), (1, 2), (2, 0), (3, 4)]),
+            (6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]),
+        ],
+    )
+    def test_disconnected_rejected(self, n, edges):
+        with pytest.raises(DisconnectedError):
+            _em_holders(build_graph(n, edges))
 
 
 class TestEmSetInvariants:

@@ -129,6 +129,36 @@ class TestDemExact:
             assert 1 <= res.value <= g.n - 1
 
 
+class TestSearchGolden:
+    # Recorded before the EM sets were built from all sources at once and
+    # before the packing bound read a precomputed table: neither may change
+    # the search's node sequence, so node counts and covers must not move.
+    CASES = {
+        "rand40": (lambda: gen.random_connected(40, 0.15, 1), None, 6327,
+                   (0, 2, 4, 12, 13, 18, 22, 24, 25, 37), True),
+        "rand17": (lambda: gen.random_connected(17, 0.7, 5), None, 93,
+                   (1, 3, 4, 5, 6, 7, 8, 10, 12, 13, 14, 15, 16), True),
+        "grid6x7": (lambda: gen.grid(6, 7).graph, None, 85, (0, 1, 9, 17, 25, 33, 41), True),
+        "grid10x10": (lambda: gen.grid(10, 10).graph, None, 201,
+                      (0, 11, 22, 33, 44, 55, 66, 77, 88, 99), True),
+        "K9": (lambda: gen.complete(9).graph, None, 17, tuple(range(8)), True),
+        "petersen": (lambda: gen.petersen().graph, None, 49, (0, 1, 2), True),
+        "rand50_budget": (lambda: gen.random_connected(50, 0.12, 4), 200_000, 181_657,
+                          (1, 4, 6, 15, 19, 32, 34, 36, 38, 43), True),
+        "rand60_capped": (lambda: gen.random_connected(60, 0.1, 1), 200_000, 200_000,
+                          (1, 2, 3, 12, 13, 15, 23, 29, 31, 32, 35, 39, 41, 57), False),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_nodes_and_cover(self, name):
+        make, budget, nodes, monitor_set, exact = self.CASES[name]
+        g = make()
+        res = dem_exact(g) if budget is None else dem_exact(g, budget=budget)
+        assert res.stats["nodes"] == nodes
+        assert res.monitor_set == monitor_set
+        assert res.exact is exact
+
+
 class TestImproveCover:
     @pytest.mark.parametrize(
         "masks, cover, improved",
