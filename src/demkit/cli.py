@@ -15,9 +15,7 @@ import functools
 import io as _io
 import json
 import sys
-from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Optional
 
 from . import generators
 from .errors import (
@@ -34,20 +32,6 @@ from .solvers import DEFAULT_BUDGET, dem_exact, dem_greedy
 from .structural import bounds_report, dem2_first_pass, dem2_pair_check, dem3_triple_check
 
 FORMATS = ("json", "csv", "dot", "text")
-
-
-@dataclass
-class RunConfig:
-    """One resolved invocation: exactly one input source plus shared flags."""
-
-    command: str
-    input_path: Optional[str]
-    gen_spec: Optional[str]
-    fmt: str
-    output: Optional[str]
-    budget: int = DEFAULT_BUDGET
-    seed: int = 0
-    options: dict = field(default_factory=dict)
 
 
 @functools.cache
@@ -152,16 +136,16 @@ def _instance_from_genspec(spec: str, seed: int) -> generators.FamilyInstance:
     return make(*values)
 
 
-def _load(cfg: RunConfig) -> LoadedGraph:
-    if bool(cfg.input_path) == bool(cfg.gen_spec):
+def _load(args) -> LoadedGraph:
+    if bool(args.input) == bool(args.gen):
         raise BadParameterError("exactly one input source: a file argument or --gen")
-    if cfg.gen_spec:
-        inst = _instance_from_genspec(cfg.gen_spec, cfg.seed)
+    if args.gen:
+        inst = _instance_from_genspec(args.gen, args.seed)
         return LoadedGraph(graph=inst.graph, labels=None, roles=dict(inst.designated))
     try:
-        return load_edgelist(cfg.input_path)
+        return load_edgelist(args.input)
     except OSError as exc:
-        raise FormatError(f"cannot read {cfg.input_path}: {exc}")
+        raise FormatError(f"cannot read {args.input}: {exc}")
 
 
 def _parse_monitors(loaded: LoadedGraph, text: str) -> list:
@@ -214,171 +198,108 @@ def _to_text(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(cfg: RunConfig, payload: dict, loaded: Optional[LoadedGraph] = None, dot_hints=None):
-    if cfg.fmt == "json":
+def _emit(args, loaded: LoadedGraph, body: dict, **dot_hints) -> None:
+    """Write {"command": ..., **body} in --format; dot draws the input graph."""
+    payload = {"command": args.command, **body}
+    if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         text = _to_csv(payload)
-    elif cfg.fmt == "text":
+    elif args.format == "text":
         text = _to_text(payload)
-    elif cfg.fmt == "dot":
-        if loaded is None:
-            raise BadParameterError("dot output needs a graph-producing command")
-        hints = dot_hints or {}
-        text = to_dot(loaded.graph, labels=loaded.labels, **hints)
     else:
-        raise BadParameterError(f"unknown format {cfg.fmt}")
-    _write(cfg, text)
+        text = to_dot(loaded.graph, labels=loaded.labels, **dot_hints)
+    _write(args.output, text)
 
 
-def _write(cfg: RunConfig, text: str) -> None:
-    """Write to --output if given, else to stdout."""
-    if not cfg.output:
+def _write(output, text: str) -> None:
+    """Write to the --output path if given, else to stdout."""
+    if not output:
         sys.stdout.write(text)
         return
     try:
-        with open(cfg.output, "w", encoding="utf-8") as fp:
+        with open(output, "w", encoding="utf-8") as fp:
             fp.write(text)
     except OSError as exc:
-        raise BadParameterError(f"cannot write {cfg.output}: {exc}")
+        raise BadParameterError(f"cannot write {output}: {exc}")
 
 
 # ---------------------------------------------------------------------------
-# Subcommand implementations.
+# Subcommand implementations.  Each result's to_json, given the input's
+# labels, is the report body.
 # ---------------------------------------------------------------------------
 
 
-def cmd_dem(cfg: RunConfig) -> int:
-    loaded = _load(cfg)
-    label = loaded.label
-    methods = ("exact", "greedy") if cfg.options["method"] == "both" else (cfg.options["method"],)
-    results = {}
-    budget_hit = False
-    monitors: list = []
-    uncovered: list = []
-    for method in methods:
-        if method == "exact":
-            res = dem_exact(loaded.graph, budget=cfg.budget)
-        else:
-            res = dem_greedy(loaded.graph)
-        budget_hit = budget_hit or bool(res.stats.get("budget_exhausted"))
-        payload = res.to_json(include_timing=False)
-        payload["monitor_set"] = [label(v) for v in res.monitor_set]
-        results[method] = payload
-        monitors = list(res.monitor_set)
-        uncovered = list(res.certificate.uncovered)
-    out = {
-        "command": "dem",
-        "n": loaded.graph.n,
-        "m": loaded.graph.m,
-        "results": results,
-    }
-    _emit(cfg, out, loaded, {"monitors": monitors, "uncovered_edges": uncovered})
-    return 4 if budget_hit else 0
+def cmd_dem(args) -> int:
+    loaded = _load(args)
+    g = loaded.graph
+    methods = ("exact", "greedy") if args.method == "both" else (args.method,)
+    runs = {}
+    for m in methods:
+        runs[m] = dem_exact(g, budget=args.budget) if m == "exact" else dem_greedy(g)
+    results = {m: res.to_json(include_timing=False, label=loaded.label) for m, res in runs.items()}
+    res = runs[methods[-1]]
+    _emit(
+        args,
+        loaded,
+        {"n": g.n, "m": g.m, "results": results},
+        monitors=res.monitor_set,
+        uncovered_edges=res.certificate.uncovered,
+    )
+    return 4 if any(r.stats.get("budget_exhausted") for r in runs.values()) else 0
 
 
-def cmd_em(cfg: RunConfig) -> int:
-    loaded = _load(cfg)
-    x = loaded.resolve(cfg.options["vertex"])
-    ems = em_set(loaded.graph, x)
-    label = loaded.label
-    out = {
-        "command": "em",
-        "n": loaded.graph.n,
-        "m": loaded.graph.m,
-        "monitor": label(x),
-        "edges": [[label(u), label(v)] for u, v in sorted(ems.edges)],
-        "size": ems.size,
-    }
-    _emit(cfg, out, loaded, {"monitors": [x], "highlight_edges": sorted(ems.edges)})
+def cmd_em(args) -> int:
+    loaded = _load(args)
+    g = loaded.graph
+    x = loaded.resolve(args.vertex)
+    ems = em_set(g, x)
+    body = {"n": g.n, "m": g.m, **ems.to_json(loaded.label)}
+    _emit(args, loaded, body, monitors=[x], highlight_edges=ems.edges)
     return 0
 
 
-def cmd_pset(cfg: RunConfig) -> int:
-    loaded = _load(cfg)
-    monitors = _parse_monitors(loaded, cfg.options["monitors"])
-    edge = _parse_edge(loaded, cfg.options["edge"])
-    ps = p_set(loaded.graph, monitors, edge)
-    label = loaded.label
-    out = {
-        "command": "pset",
-        "n": loaded.graph.n,
-        "m": loaded.graph.m,
-        "monitors": [label(v) for v in sorted(ps.monitors)],
-        "edge": [label(ps.edge[0]), label(ps.edge[1])],
-        "pairs": [[label(x), label(y)] for x, y in sorted(ps.pairs)],
-        "size": ps.size,
-    }
-    _emit(cfg, out, loaded, {"monitors": sorted(ps.monitors), "highlight_edges": [ps.edge]})
+def cmd_pset(args) -> int:
+    loaded = _load(args)
+    g = loaded.graph
+    ps = p_set(g, _parse_monitors(loaded, args.monitors), _parse_edge(loaded, args.edge))
+    body = {"n": g.n, "m": g.m, **ps.to_json(loaded.label)}
+    _emit(args, loaded, body, monitors=ps.monitors, highlight_edges=[ps.edge])
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    loaded = _load(cfg)
-    monitors = _parse_monitors(loaded, cfg.options["monitors"])
-    cert = is_monitoring_set(loaded.graph, monitors)
-    label = loaded.label
-    out = {
-        "command": "verify",
-        "n": loaded.graph.n,
-        "m": loaded.graph.m,
-        "monitors": [label(v) for v in sorted(set(monitors))],
-        "certificate": {
-            "witnesses": {
-                f"{label(u)} {label(v)}": [label(a) for a in cert.witnesses[(u, v)]]
-                for (u, v) in sorted(cert.witnesses)
-            },
-            "uncovered": [[label(u), label(v)] for u, v in sorted(cert.uncovered)],
-        },
+def cmd_verify(args) -> int:
+    loaded = _load(args)
+    g = loaded.graph
+    monitors = _parse_monitors(loaded, args.monitors)
+    cert = is_monitoring_set(g, monitors)
+    body = {
+        "n": g.n,
+        "m": g.m,
+        "monitors": [loaded.label(v) for v in sorted(set(monitors))],
+        "certificate": cert.to_json(loaded.label),
         "is_monitoring": cert.is_monitoring,
     }
-    _emit(
-        cfg,
-        out,
-        loaded,
-        {"monitors": monitors, "uncovered_edges": sorted(cert.uncovered)},
-    )
+    _emit(args, loaded, body, monitors=monitors, uncovered_edges=cert.uncovered)
     return 0
 
 
-def cmd_bounds(cfg: RunConfig) -> int:
-    loaded = _load(cfg)
-    rep = bounds_report(loaded.graph)
-    label = loaded.label
-    out = {"command": "bounds"}
-    rep_json = rep.to_json()
-    rep_json["em_per_vertex"] = {
-        str(label(v)): s for v, s in sorted(rep.em_per_vertex.items())
-    }
-    out.update(rep_json)
-    _emit(cfg, out, loaded)
+def cmd_bounds(args) -> int:
+    loaded = _load(args)
+    _emit(args, loaded, bounds_report(loaded.graph).to_json(loaded.label))
     return 0
 
 
-def _labelled_report(report, lift, label) -> dict:
-    """Serialize a ConditionReport with base-graph ids mapped to input labels."""
-    out = report.to_json()
-    out["tuple"] = [label(lift[v]) for v in report.vertices]
-    for cond in out["conditions"]:
-        if "witness" in cond:
-            cond["witness"] = [label(lift[w]) for w in cond["witness"]]
-    return out
-
-
-def cmd_char(cfg: RunConfig) -> int:
-    loaded = _load(cfg)
-    g = loaded.graph
-    label = loaded.label
-    target = cfg.options["target"]
-    out = {"command": "char", "target": target}
-    if target == 1:
-        tree = is_tree(g)
-        out |= {"is_tree": tree, "dem_is_1": tree}
-        _emit(cfg, out, loaded)
+def cmd_char(args) -> int:
+    loaded = _load(args)
+    out = {"target": args.target}
+    if args.target == 1:
+        tree = is_tree(loaded.graph)
+        _emit(args, loaded, out | {"is_tree": tree, "dem_is_1": tree})
         return 0
-    if is_tree(g):
+    base = base_graph(loaded.graph)
+    if base.was_tree:
         raise IsTreeError("tree input: the single-monitor characterization applies")
-    base = base_graph(g)
     gb, lift = base.graph, base.new_to_old
     back = {old: new for new, old in enumerate(lift)}
 
@@ -391,45 +312,37 @@ def cmd_char(cfg: RunConfig) -> int:
             raise BadParameterError(f"vertices {missing} are not in the base graph")
         return [back[v] for v in verts]
 
-    if target == 2:
-        report = None
-        if cfg.options.get("tuple"):
-            u, v = to_base(cfg.options["tuple"], 2)
-            report = dem2_pair_check(gb, u, v)
-        else:
-            report = dem2_first_pass(gb)
-        out["found"] = report is not None
-        if report is not None:
-            out["report"] = _labelled_report(report, lift, label)
-        _emit(cfg, out, loaded)
-        return 0
-    # target == 3: ground truth drives the search; the rule report is data.
     report = None
-    if cfg.options.get("tuple"):
-        u, v, w = to_base(cfg.options["tuple"], 3)
-        report = dem3_triple_check(gb, u, v, w)
+    if args.target == 2 and args.tuple_:
+        report = dem2_pair_check(gb, *to_base(args.tuple_, 2))
+    elif args.target == 2:
+        report = dem2_first_pass(gb)
+    elif args.tuple_:
+        report = dem3_triple_check(gb, *to_base(args.tuple_, 3))
     else:
-        for u, v, w in combinations(range(gb.n), 3):
-            if is_monitoring_set(gb, [u, v, w]).is_monitoring:
-                report = dem3_triple_check(gb, u, v, w)
+        # Ground truth drives the search; the rule report is data.
+        for triple in combinations(range(gb.n), 3):
+            if is_monitoring_set(gb, triple).is_monitoring:
+                report = dem3_triple_check(gb, *triple)
                 break
     out["found"] = report is not None
-    out["discrepancy"] = report.discrepancy if report is not None else False
+    if args.target == 3:
+        out["discrepancy"] = report is not None and report.discrepancy
     if report is not None:
-        out["report"] = _labelled_report(report, lift, label)
-    _emit(cfg, out, loaded)
+        out["report"] = report.to_json(lambda v: loaded.label(lift[v]))
+    _emit(args, loaded, out)
     return 0
 
 
-def cmd_gen(cfg: RunConfig) -> int:
-    inst = _instance_from_genspec(cfg.options["family"], cfg.seed)
+def cmd_gen(args) -> int:
+    inst = _instance_from_genspec(args.family, args.seed)
     params = ",".join(f"{k}={v}" for k, v in sorted(inst.params.items()))
     comments = [f"family={inst.family}"]
     if params:
         comments.append(f"params={params}")
-    comments.append(f"seed={cfg.seed}")
+    comments.append(f"seed={args.seed}")
     text = format_edgelist(inst.graph, header_comments=comments, roles=inst.designated)
-    _write(cfg, text)
+    _write(args.output, text)
     return 0
 
 
@@ -444,30 +357,10 @@ _DISPATCH = {
 }
 
 
-def _config_from_args(args) -> RunConfig:
-    options = {}
-    for key in ("method", "vertex", "monitors", "edge", "target", "family"):
-        if hasattr(args, key):
-            options[key] = getattr(args, key)
-    if hasattr(args, "tuple_"):
-        options["tuple"] = args.tuple_
-    return RunConfig(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        gen_spec=getattr(args, "gen", None),
-        fmt=getattr(args, "format", "json"),
-        output=getattr(args, "output", None),
-        budget=getattr(args, "budget", DEFAULT_BUDGET),
-        seed=getattr(args, "seed", 0),
-        options=options,
-    )
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = _config_from_args(args)
     try:
-        return _DISPATCH[cfg.command](cfg)
+        return _DISPATCH[args.command](args)
     except DisconnectedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

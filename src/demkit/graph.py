@@ -324,7 +324,7 @@ def base_graph(g: Graph) -> BaseGraphResult:
     if g.n == 0:
         raise BadParameterError("base graph of an empty graph is undefined")
     require_connected(g, "base-graph reduction")
-    was_tree = is_tree(g)
+    was_tree = g.m == g.n - 1  # connected, so n - 1 edges make a tree
     deg = [g.degree(v) for v in range(g.n)]
     removed = [False] * g.n
     q = deque(v for v in range(g.n) if deg[v] == 1)

@@ -31,10 +31,10 @@ class EmSet:
     def size(self) -> int:
         return len(self.edges)
 
-    def to_json(self) -> dict:
+    def to_json(self, label=lambda v: v) -> dict:
         return {
-            "monitor": self.monitor,
-            "edges": [list(e) for e in sorted(self.edges)],
+            "monitor": label(self.monitor),
+            "edges": [[label(u), label(v)] for u, v in sorted(self.edges)],
             "size": self.size,
         }
 
@@ -51,11 +51,11 @@ class PairSet:
     def size(self) -> int:
         return len(self.pairs)
 
-    def to_json(self) -> dict:
+    def to_json(self, label=lambda v: v) -> dict:
         return {
-            "monitors": sorted(self.monitors),
-            "edge": list(self.edge),
-            "pairs": [list(p) for p in sorted(self.pairs)],
+            "monitors": [label(v) for v in sorted(self.monitors)],
+            "edge": [label(v) for v in self.edge],
+            "pairs": [[label(x), label(y)] for x, y in sorted(self.pairs)],
             "size": self.size,
         }
 
@@ -71,12 +71,13 @@ class MonitoringCertificate:
     def is_monitoring(self) -> bool:
         return not self.uncovered
 
-    def to_json(self) -> dict:
+    def to_json(self, label=lambda v: v) -> dict:
         return {
             "witnesses": {
-                f"{u} {v}": list(self.witnesses[(u, v)]) for (u, v) in sorted(self.witnesses)
+                f"{label(u)} {label(v)}": [label(a) for a in self.witnesses[(u, v)]]
+                for (u, v) in sorted(self.witnesses)
             },
-            "uncovered": [list(e) for e in sorted(self.uncovered)],
+            "uncovered": [[label(u), label(v)] for u, v in sorted(self.uncovered)],
         }
 
 
@@ -240,14 +241,17 @@ def is_monitoring_set(g: Graph, monitors) -> MonitoringCertificate:
     DAG's dominator tree, so y is the lowest id in the subtree.
     verify_dem_result re-checks each witness definitionally (BFS on G-e).
     """
-    require_connected(g, "monitoring-set verification")
     ms = sorted(set(monitors))
     for x in ms:
         _check_vertex(g, x)
+    if not ms:
+        require_connected(g, "monitoring-set verification")
     witnesses: dict = {}
     adj = g._adj
     for x in ms:
         order, dist, parent = _sweep(g, x)
+        if len(order) < g.n:
+            require_connected(g, "monitoring-set verification")
         fresh = []
         for v in order:
             if parent[v] >= 0:

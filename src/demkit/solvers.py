@@ -17,7 +17,7 @@ from itertools import combinations
 from time import perf_counter
 
 from .errors import BadParameterError
-from .graph import Graph, _bfs, base_graph, canonical_edge, is_tree, require_connected
+from .graph import Graph, _bfs, base_graph, canonical_edge, require_connected
 from .monitor import MonitoringCertificate, _em_holders, em_set_naive, is_monitoring_set
 
 DEFAULT_BUDGET = 10_000_000
@@ -38,7 +38,7 @@ class DemResult:
     exact: bool
     stats: dict = field(default_factory=dict)
 
-    def to_json(self, include_timing: bool = True) -> dict:
+    def to_json(self, include_timing: bool = True, label=lambda v: v) -> dict:
         stats = {"nodes": self.stats.get("nodes", 0)}
         if include_timing and "millis" in self.stats:
             stats["millis"] = self.stats["millis"]
@@ -46,7 +46,7 @@ class DemResult:
             stats["budget_exhausted"] = True
         return {
             "value": self.value,
-            "monitor_set": list(self.monitor_set),
+            "monitor_set": [label(v) for v in self.monitor_set],
             "exact": self.exact,
             "method": self.method,
             "stats": stats,
@@ -153,17 +153,15 @@ def _cover_search(holders: list, incumbent: list, budget: int) -> tuple:
     return covers, nodes, True
 
 
-def _improve_cover(masks: list, full: int, cover) -> list:
+def _improve_cover(masks: list, holders: list, full: int, cover) -> list:
     """Local search: replace any r <= 3 sets of the cover by r - 1 sets
-    (dropping redundant ones when r = 1) until no such move exists."""
+    (dropping redundant ones when r = 1) until no such move exists.
+    holders[e] is the bitmask of the sets that hold element e."""
     max_pop = max(m.bit_count() for m in masks)
-    holders = {}
+    sets_of = [list(_bits(h)) for h in holders]
 
     def sets_with_lowest(elems: int) -> list:
-        low = elems & -elems
-        if low not in holders:
-            holders[low] = [v for v, m in enumerate(masks) if m & low]
-        return holders[low]
+        return sets_of[(elems & -elems).bit_length() - 1]
 
     cover = list(cover)
     r = 1
@@ -222,9 +220,9 @@ def dem_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> DemResult:
         raise BadParameterError("dem is defined for graphs with at least one edge")
     if budget < 0:
         raise BadParameterError(f"budget must be >= 0, got {budget}")
-    require_connected(g, "dem")
     t0 = perf_counter()
-    if is_tree(g):
+    base = base_graph(g)
+    if base.was_tree:
         cert = is_monitoring_set(g, [0])
         millis = (perf_counter() - t0) * 1000.0
         return DemResult(
@@ -235,7 +233,6 @@ def dem_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> DemResult:
             exact=True,
             stats={"nodes": 0, "millis": millis},
         )
-    base = base_graph(g)
     gb = base.graph
     holders = _em_holders(gb)
     full = (1 << len(holders)) - 1
@@ -246,7 +243,7 @@ def dem_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> DemResult:
     if not exact:
         # Polishing every cover, not only the last, keeps a larger budget
         # from ending on a worse result.
-        best = min((_improve_cover(masks, full, c) for c in covers), key=len)
+        best = min((_improve_cover(masks, holders, full, c) for c in covers), key=len)
     new_to_old = base.new_to_old
     monitor_set = tuple(sorted(new_to_old[v] for v in best))
     cert = is_monitoring_set(g, monitor_set)

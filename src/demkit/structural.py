@@ -32,7 +32,7 @@ from .graph import (
     is_tree,
     require_connected,
 )
-from .monitor import em_set, em_set_naive, is_monitoring_set
+from .monitor import _MANY, _sweep, em_set, em_set_naive, is_monitoring_set
 
 
 @dataclass(frozen=True)
@@ -97,15 +97,15 @@ class ConditionReport:
     def discrepancy(self) -> bool:
         return self.all_pass != self.direct_check
 
-    def to_json(self) -> dict:
+    def to_json(self, label=lambda v: v) -> dict:
         conds = []
         for c in self.conditions:
             item = {"name": c.name, "pass": c.passed}
             if c.witness is not None:
-                item["witness"] = list(c.witness)
+                item["witness"] = [label(w) for w in c.witness]
             conds.append(item)
         return {
-            "tuple": list(self.vertices),
+            "tuple": [label(v) for v in self.vertices],
             "conditions": conds,
             "direct_check": self.direct_check,
             "discrepancy": self.discrepancy,
@@ -576,12 +576,12 @@ class BoundsReport:
     def lower(self) -> int:
         return max(self.density_lb, self.clique_lb or 0, self.regular_lb or 0)
 
-    def to_json(self) -> dict:
+    def to_json(self, label=lambda v: v) -> dict:
         out = {
             "n": self.n,
             "m": self.m,
             "density_lb": self.density_lb,
-            "em_per_vertex": {str(v): s for v, s in sorted(self.em_per_vertex.items())},
+            "em_per_vertex": {str(label(v)): s for v, s in sorted(self.em_per_vertex.items())},
         }
         for key in ("clique_lb", "vertex_cover_ub", "gallai_ub", "feedback_ub", "regular_lb"):
             val = getattr(self, key)
@@ -633,15 +633,7 @@ def bounds_report(g: Graph) -> BoundsReport:
 
 def unique_parent_condition(g: Graph, v: int) -> bool:
     """True when no vertex has two neighbors strictly closer to v."""
-    dist = _bfs(g, v)
-    for w in range(g.n):
-        dw = dist[w]
-        if dw <= 0:
-            continue
-        closer = sum(1 for z in g.neighbors(w) if dist[z] == dw - 1)
-        if closer >= 2:
-            return False
-    return True
+    return _MANY not in _sweep(g, v)[2]
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import json
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from demkit.cli import _build_parser, main
 
@@ -248,3 +249,108 @@ class TestDeterminismAndErrors:
         assert code == 0
         assert out.startswith("graph G {")
         assert "style=dashed" in out  # the uncovered edge
+
+
+# A labelled input whose tokens sort differently from their ids (first-seen
+# order: t=0, q=1, m=2, ...) and whose pendant vertices t, d and e shift
+# every base-graph id away from its input id.
+LABELLED = """\
+# center1=q
+# center2=m
+11 13
+t q
+q m
+m k
+k x
+x b
+b q
+m w
+w b
+x d
+d e
+k r
+r s
+s k
+"""
+
+# SHA-256 of stdout per format (json, csv, text, dot); every call exits 0.
+LABELLED_GOLDEN = {
+    ("dem", "--method", "both"): (
+        "d78e08ce3b2b08cbbd6782110a3daf9d5d47d76fd21a289ef454b9143f4432b1",
+        "61b76abf2c4d6291c10787b007523c09cf6fb7e658f7c639e93bdc22abfa115d",
+        "67dac212677c2144a9fa3a098c88084f297498655cb883e058e5d9aa43accc9a",
+        "f0324291040874f07bb80469a8d62a643fa96f1a11e0bab3f34a4ac419e280ae",
+    ),
+    ("em", "--vertex", "x"): (
+        "4aff861b3d0acf0c666b7b30f9d501e2eab839446e5899bbbbc20e2d2f610d5d",
+        "c0dcb170060d9553383ac94421741e3ba227019cdf475e934671c3dcc9a7e6b9",
+        "9e7e31c855868d29a191dd6180964734e1c0e53a4267c5d288f881716bc5659d",
+        "6e2bb494873e9918d0471213c5194e0599dd8676159bd9608871c39116d693d1",
+    ),
+    ("pset", "--monitors", "all", "--edge", "centers"): (
+        "2e15b7aedcb838e2ebcb51104166ae284d26d4d13b2ebf7a0e473856391c8bdc",
+        "13b30af95dffd8f365331529ff103f49c7ff3ba5a7d19094fc37d8bb9bfc6d00",
+        "07288b43cc6b0e814499c7027723779a8515c1187518cb1c592bbcaaa1c72471",
+        "a6022c53904b6dbae0c757ce00436f7fc3d0842dd265e3414d1d9f989989aaad",
+    ),
+    ("pset", "--monitors", "t,k,b", "--edge", "k,x"): (
+        "bfbdf9d3a699fab1b47dea8cdae9ed28b4179c2b9df289ff8f9caf370f0f9a38",
+        "d6bafa3b10097f0ffd9e27846630ba45b1d15a2fde8aa53e3b987e9c0fa67e2c",
+        "5f150b1bb5ad6a8aa9f17ac8a6392992446ad8fbcd8c9e3dc663f5920410a6d1",
+        "0ce5e40343a120a27a0319ecbe356fc65b5570ac77e3485c6a6092a66db1c36e",
+    ),
+    ("verify", "--monitors", "q,x"): (
+        "a49fc9aa3046ce7affd9b2fc4137205d9c3421425821eba68521bb4dac1fdaac",
+        "dcf6dc7f707ebed6b6ed884ea41d89da2864a36d215fc421db8b933e0f891f52",
+        "45ca87a1b20f148869fff169957bb6f09d60b65d3e19be5fb5ee7746374c3e1e",
+        "f77fdcc80e7017daac13640cc0cf80e83b8268df72a689a99c1abdaedca828d7",
+    ),
+    ("bounds",): (
+        "36b990b2bfc69d067ddb9f3c9c65ef5e63fc95590ae1b2f570f584a8c3da4efe",
+        "0a8ca62909953b429f193d70ac32e1b19b75c6c5ec299e3425f31c834320a7ce",
+        "b829ef681000fd236680906ad8ec669aa48586e3fdede92783d020b482fdd7e6",
+        "cce74b5330973a2a047f3ffc646b46a8479e47cd74c0e31b72c3bda76a975a55",
+    ),
+    ("char", "--target", "1"): (
+        "3caa4ed1ce2798a0450c1ed4061169707e21517e1bf8ed47e048ad4685bf689d",
+        "7015fef8b3722d933fc6b6c8333fc8be830f9d7ec0eff8f1f1d7a9d5bd74a493",
+        "0f09c23dc1ba6557621142f7fdc01b17de96e14b3989442c7af7d8e0d60f478c",
+        "cce74b5330973a2a047f3ffc646b46a8479e47cd74c0e31b72c3bda76a975a55",
+    ),
+    ("char", "--target", "2"): (
+        "46e945f64703f94b3bc9942d9862e5884e5adbcaf78ccc29c8cad183b75795ea",
+        "492659a949b324e9664f65d9b73f06fce614b2d7e7fe57f6735300ec7f28e95c",
+        "f93022ba14fac9d7b6245e0a1e7b96db4c8e831c72c7d866fd643472f13fdd76",
+        "cce74b5330973a2a047f3ffc646b46a8479e47cd74c0e31b72c3bda76a975a55",
+    ),
+    ("char", "--target", "2", "--tuple", "m,x"): (
+        "0ba2cdd85d23a2fbd67d372287166b3f557cddc84554227b5d37f6338223d85e",
+        "48c753a02ad5c956088fa51ab1dbe38f229615adb848eeb2d0d924cd2168c7af",
+        "8b5ce6d24bd2e83cb17f17f6509b91227dbbd53726e359fc6a30ec067c0bfad0",
+        "cce74b5330973a2a047f3ffc646b46a8479e47cd74c0e31b72c3bda76a975a55",
+    ),
+    ("char", "--target", "3"): (
+        "79f5b5ad9a56be4144cc03c565a1ff035e3700527ffb0b6a56c2da44a26a32b5",
+        "29952382db773a276a541b6bf2ef37c687ac02032e3dadcdac111db3310615fa",
+        "d442d320d00edc47ad33b32e22112368a578470cf10f92b4fcca79ca9626af62",
+        "cce74b5330973a2a047f3ffc646b46a8479e47cd74c0e31b72c3bda76a975a55",
+    ),
+    ("char", "--target", "3", "--tuple", "q,k,w"): (
+        "ed9c9096a3ba7454b0239922897395e3a10be10b8cd8c6ffa516b8aad4a8ce61",
+        "e15650365a66640fa76373e85833c083eb40a10379d7d4c0509ebd6d1d878d59",
+        "68b1c28e41980e35c0beda83f9da004e4be680cc2103f3f47099cd7ea7dd36c0",
+        "cce74b5330973a2a047f3ffc646b46a8479e47cd74c0e31b72c3bda76a975a55",
+    ),
+}
+
+
+class TestLabelledGolden:
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text", "dot"])
+    @pytest.mark.parametrize("args", list(LABELLED_GOLDEN), ids=" ".join)
+    def test_digest(self, capsys, tmp_path, args, fmt):
+        f = tmp_path / "lab.el"
+        f.write_text(LABELLED)
+        code, out = run_cli(capsys, *args, str(f), "--format", fmt)
+        assert code == 0
+        digest = LABELLED_GOLDEN[args][["json", "csv", "text", "dot"].index(fmt)]
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -188,6 +188,13 @@ class TestMonitoringSet:
         cert = is_monitoring_set(gen.cycle(4).graph, [0, 2])
         assert cert.is_monitoring
 
+    def test_disconnected_rejected_for_any_monitors(self):
+        # Triangle plus an isolated vertex, and two disjoint edges.
+        for g in (build_graph(4, [(0, 1), (1, 2), (0, 2)]), build_graph(4, [(0, 1), (2, 3)])):
+            for monitors in ([], [0], [3], [0, 3], list(range(4))):
+                with pytest.raises(DisconnectedError):
+                    is_monitoring_set(g, monitors)
+
     def test_witnesses_definitional(self):
         g = gen.petersen().graph
         cert = is_monitoring_set(g, [0, 5, 7])
@@ -229,6 +236,21 @@ class TestMonitoringSet:
         cert = is_monitoring_set(gen.complete(3).graph, [0])
         js = cert.to_json()
         assert set(js) == {"witnesses", "uncovered"}
+
+    def test_em_and_pair_set_json_keep_ids(self):
+        # With the default label the serializers speak vertex ids, sorted.
+        g = gen.cycle(5).graph
+        assert em_set(g, 3).to_json() == {
+            "monitor": 3,
+            "edges": [[0, 4], [1, 2], [2, 3], [3, 4]],
+            "size": 4,
+        }
+        assert p_set(g, [4, 1], (2, 1)).to_json() == {
+            "monitors": [1, 4],
+            "edge": [1, 2],
+            "pairs": [[1, 2], [1, 3]],
+            "size": 2,
+        }
 
 
 class TestZeroReason:

@@ -11,7 +11,7 @@ from demkit import (
     verify_dem_result,
 )
 from demkit import generators as gen
-from demkit.solvers import _improve_cover
+from demkit.solvers import _improve_cover, _transpose
 
 from conftest import attach_pendant_trees, random_connected_graphs
 from oracles import brute_minimum_monitoring, harmonic
@@ -116,8 +116,10 @@ class TestDemExact:
         assert res.certificate.is_monitoring
 
     def test_disconnected_rejected(self):
-        with pytest.raises(DisconnectedError):
-            dem_exact(build_graph(4, [(0, 1), (2, 3)]))
+        # The second graph has n - 1 edges but is no tree.
+        for g in (build_graph(4, [(0, 1), (2, 3)]), build_graph(4, [(0, 1), (1, 2), (0, 2)])):
+            with pytest.raises(DisconnectedError):
+                dem_exact(g)
 
     def test_single_vertex_rejected(self):
         with pytest.raises(BadParameterError):
@@ -172,7 +174,8 @@ class TestImproveCover:
     )
     def test_moves(self, masks, cover, improved):
         full = (1 << max(m.bit_length() for m in masks)) - 1
-        assert sorted(_improve_cover(masks, full, cover)) == improved
+        holders = _transpose(masks, full.bit_length())
+        assert sorted(_improve_cover(masks, holders, full, cover)) == improved
 
 
 class TestBaseGraphIdentity:
