@@ -307,7 +307,7 @@ def cmd_char(args) -> int:
         verts = [loaded.resolve(t.strip()) for t in tokens.split(",")]
         if len(verts) != count:
             raise BadParameterError(f"--tuple needs {count} vertices")
-        missing = [v for v in verts if v not in back]
+        missing = [loaded.label(v) for v in verts if v not in back]
         if missing:
             raise BadParameterError(f"vertices {missing} are not in the base graph")
         return [back[v] for v in verts]

@@ -83,17 +83,33 @@ def _cover_search(holders: list, incumbent: list, budget: int) -> tuple:
     """Branch and bound for the lexicographically smallest minimum cover.
 
     holders[e] is the bitmask of the sets that cover element e; sets are
-    numbered from 0 to the highest set in any mask.
+    numbered from 0 to the highest set in any mask, and holders is not
+    empty.
 
     Elements covered by the same sets are merged first, and the merged
-    elements are numbered by how few sets cover them; the covers do not
-    change.  The search is an include-first DFS over set indices on an
-    explicit stack, looking for covers of size <= limit; limit starts at the
+    elements are numbered so that the fewest holders get the highest bits;
+    the covers do not change.  The search is an include-first DFS over set
+    indices, looking for covers of size <= limit; limit starts at the
     incumbent's size and drops to one below each cover found.  A node with
     room for r more sets is pruned when the sets from index idx on cannot
     cover what is left, when rem uncovered elements exceed r times the
     largest set, or when more than r uncovered elements pairwise share no
-    set of index >= idx (a packing: each needs a set of its own).
+    set of index >= idx (a packing: each needs a set of its own).  The
+    packing takes the uncovered element with the fewest holders first,
+    which is the highest bit, so keep[idx] is indexed by bit_length:
+    keep[idx][e + 1] holds the elements that share no set of index >= idx
+    with element e, and keep[idx][0] = 0 leaves an empty remainder empty.
+    The packing thus runs r steps and prunes iff anything is left, and it
+    is skipped when at most r elements are uncovered: each step removes at
+    least the element it takes.
+
+    The include child is the next node visited, so only the exclude child
+    goes on the stack.  Tests that cannot fire are not made: an include
+    child passes the suffix test, since covered | sets[idx] |
+    suffix_or[idx + 1] == covered | suffix_or[idx] == full, and an exclude
+    child is no cover, since its parent was none.  Both children keep the
+    max_pop test, as limit can drop between a push and its pop.
+
     Include-first order meets equal-size covers in lexicographic order, and
     no branch holding an optimum is pruned while limit >= optimum, so the
     last cover found is the lex-smallest optimum.  Returns (covers, nodes,
@@ -101,22 +117,21 @@ def _cover_search(holders: list, incumbent: list, budget: int) -> tuple:
     the last is the best; exact is False when more than `budget` nodes
     would be needed.
     """
-    n = max(map(int.bit_length, holders), default=0)
-    classes = sorted(set(holders), key=lambda h: (h.bit_count(), h))
+    n = max(map(int.bit_length, holders))
+    classes = sorted(set(holders), key=lambda h: (h.bit_count(), h), reverse=True)
     sets = [0] * n
     for e, h in enumerate(classes):
         for v in _bits(h):
             sets[v] |= 1 << e
     full = (1 << len(classes)) - 1
-    # keep[idx][e]: the elements that share no set of index >= idx with e.
-    # Only elements with such a set are read: the suffix_or test prunes a
-    # node before its packing loop sees an element no set from idx on covers.
+    # Only elements with a set of index >= idx are read from keep[idx]: the
+    # suffix_or test prunes a node before its packing sees any other.
     keep = [None] * n
-    row = [full] * len(classes)
+    row = [0] + [full] * len(classes)
     for idx in range(n - 1, -1, -1):
         rest = full & ~sets[idx]
         for e in _bits(sets[idx]):
-            row[e] &= rest
+            row[e + 1] &= rest
         keep[idx] = row[:]
     suffix_or = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
@@ -127,29 +142,37 @@ def _cover_search(holders: list, incumbent: list, budget: int) -> tuple:
     nodes = 0
     stack = [(0, 0, ())]
     while stack:
+        # The root or an exclude child.
+        idx, covered, chosen = stack.pop()
         if nodes == budget:
             return covers, nodes, False
-        idx, covered, chosen = stack.pop()
         nodes += 1
-        if covered == full:
-            covers.append(chosen)
-            limit = len(chosen) - 1
-            continue
         if covered | suffix_or[idx] != full:
             continue
-        uncovered = full & ~covered
-        room = limit - len(chosen)
-        if uncovered.bit_count() > room * max_pop:
-            continue
-        packed = 0
-        k = keep[idx]
-        while uncovered and packed <= room:
-            packed += 1
-            uncovered &= k[(uncovered & -uncovered).bit_length() - 1]
-        if packed > room:
-            continue
-        stack.append((idx + 1, covered, chosen))
-        stack.append((idx + 1, covered | sets[idx], chosen + (idx,)))
+        while True:
+            uncovered = full ^ covered
+            room = limit - len(chosen)
+            left = uncovered.bit_count()
+            if left > room * max_pop:
+                break
+            if left > room:
+                k = keep[idx]
+                for _ in range(room):
+                    uncovered &= k[uncovered.bit_length()]
+                if uncovered:
+                    break
+            stack.append((idx + 1, covered, chosen))
+            # The include child.
+            if nodes == budget:
+                return covers, nodes, False
+            nodes += 1
+            covered |= sets[idx]
+            chosen += (idx,)
+            idx += 1
+            if covered == full:
+                covers.append(chosen)
+                limit = len(chosen) - 1
+                break
     return covers, nodes, True
 
 

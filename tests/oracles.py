@@ -5,6 +5,8 @@ point is a second, slower route to the same quantity.  Distances come from
 repeated edge relaxation rather than BFS, connectivity from union-find,
 monitored-set minima from subset enumeration over naively recomputed EM
 sets, certificate witnesses from a BFS on G-e for every monitor and edge.
+The set-cover search is checked against a frozen copy of its earlier,
+plainer loop, and its value against a MILP solved by scipy.
 """
 
 from __future__ import annotations
@@ -190,3 +192,103 @@ def cycle_exclusion_applies(g: Graph, x: int, e, dist_from=None) -> bool:
             if all(d(x, w) == base + d(xp, w) for w in verts):
                 return True
     return False
+
+
+def _bits(x: int):
+    """Indices of the set bits of x, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def cover_search_reference(holders: list, incumbent: list, budget: int) -> tuple:
+    """The branch and bound of ``solvers._cover_search`` as first written.
+
+    Same contract and the same node sequence, in the plainest form: elements
+    numbered fewest holders first and packed lowest bit first, both children
+    pushed, and every test run at every node.  The fast loop must return the
+    same (covers, nodes, exact) on every input.
+    """
+    n = max(map(int.bit_length, holders), default=0)
+    classes = sorted(set(holders), key=lambda h: (h.bit_count(), h))
+    sets = [0] * n
+    for e, h in enumerate(classes):
+        for v in _bits(h):
+            sets[v] |= 1 << e
+    full = (1 << len(classes)) - 1
+    # keep[idx][e]: the elements that share no set of index >= idx with e.
+    # Only elements with such a set are read: the suffix_or test prunes a
+    # node before its packing loop sees an element no set from idx on covers.
+    keep = [None] * n
+    row = [full] * len(classes)
+    for idx in range(n - 1, -1, -1):
+        rest = full & ~sets[idx]
+        for e in _bits(sets[idx]):
+            row[e] &= rest
+        keep[idx] = row[:]
+    suffix_or = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix_or[i] = suffix_or[i + 1] | sets[i]
+    max_pop = max((m.bit_count() for m in sets), default=1) or 1
+    covers = [tuple(incumbent)]
+    limit = len(incumbent)
+    nodes = 0
+    stack = [(0, 0, ())]
+    while stack:
+        if nodes == budget:
+            return covers, nodes, False
+        idx, covered, chosen = stack.pop()
+        nodes += 1
+        if covered == full:
+            covers.append(chosen)
+            limit = len(chosen) - 1
+            continue
+        if covered | suffix_or[idx] != full:
+            continue
+        uncovered = full & ~covered
+        room = limit - len(chosen)
+        if uncovered.bit_count() > room * max_pop:
+            continue
+        packed = 0
+        k = keep[idx]
+        while uncovered and packed <= room:
+            packed += 1
+            uncovered &= k[(uncovered & -uncovered).bit_length() - 1]
+        if packed > room:
+            continue
+        stack.append((idx + 1, covered, chosen))
+        stack.append((idx + 1, covered | sets[idx], chosen + (idx,)))
+    return covers, nodes, True
+
+
+def milp_dem(g: Graph) -> int:
+    """dem(g) as a 0/1 program solved by scipy's HiGHS ``milp``.
+
+    One variable per vertex, one covering row per edge: the minimum number
+    of vertices whose EM sets cover every edge.  The cover runs over the
+    whole graph, pendant trees included, so it does not rely on the core
+    reduction.  EM sets come from the distance layers of one BFS per vertex:
+    uv is in EM(x) iff u is the only neighbour of v one step closer to x.
+    scipy is imported here, so only callers that run it need it.
+    """
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    row = {e: i for i, e in enumerate(g.edges())}
+    a = np.zeros((len(row), g.n))
+    for x in range(g.n):
+        dist = _bfs(g, x)
+        for v in range(g.n):
+            closer = [u for u in g.neighbors(v) if dist[u] == dist[v] - 1]
+            if len(closer) == 1:
+                a[row[canonical_edge(closer[0], v)], x] = 1
+    res = milp(
+        c=np.ones(g.n),
+        constraints=LinearConstraint(a, lb=1, ub=np.inf),
+        integrality=np.ones(g.n),
+        bounds=Bounds(0, 1),
+    )
+    if res.status != 0:
+        raise AssertionError(f"milp failed: {res.message}")
+    return round(res.fun)

@@ -354,3 +354,10 @@ class TestLabelledGolden:
         assert code == 0
         digest = LABELLED_GOLDEN[args][["json", "csv", "text", "dot"].index(fmt)]
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_tuple_outside_base_graph_names_labels(self, capsys, tmp_path):
+        # t hangs off the core; the error names it as the user typed it.
+        f = tmp_path / "lab.el"
+        f.write_text(LABELLED)
+        assert main(["char", str(f), "--target", "3", "--tuple", "t,k,w"]) == 2
+        assert "vertices ['t'] are not in the base graph" in capsys.readouterr().err

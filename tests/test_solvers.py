@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demkit import (
     BadParameterError,
@@ -11,10 +13,11 @@ from demkit import (
     verify_dem_result,
 )
 from demkit import generators as gen
-from demkit.solvers import _improve_cover, _transpose
+from demkit.monitor import _em_holders
+from demkit.solvers import _cover_search, _greedy_cover, _improve_cover, _transpose
 
 from conftest import attach_pendant_trees, random_connected_graphs
-from oracles import brute_minimum_monitoring, harmonic
+from oracles import brute_minimum_monitoring, cover_search_reference, harmonic, milp_dem
 
 
 class TestDemExact:
@@ -159,6 +162,65 @@ class TestSearchGolden:
         assert res.stats["nodes"] == nodes
         assert res.monitor_set == monitor_set
         assert res.exact is exact
+
+
+class TestCoverSearchParity:
+    # The search loop must visit the reference's nodes in the reference's
+    # order: same covers, same node count, same budget cut points.
+    BUDGETS = (0, 1, 2, 3, 7, 50, 400, 5000)
+    FAMILIES = {
+        "random": lambda: random_connected_graphs(40, 8, 40, seed=71, p_lo=0.1, p_hi=0.7),
+        "complete": lambda: [gen.complete(k).graph for k in range(3, 13)],
+        "grid": lambda: [gen.grid(a, b).graph for a in range(2, 7) for b in range(a, 7)],
+        "cycle": lambda: [gen.cycle(k).graph for k in range(3, 13)],
+    }
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_cores(self, family):
+        cases = 0
+        for g in self.FAMILIES[family]():
+            base = base_graph(g)
+            if base.was_tree:
+                continue
+            holders = _em_holders(base.graph)
+            masks = _transpose(holders, base.graph.n)
+            incumbent = _greedy_cover(masks, (1 << len(holders)) - 1)
+            for budget in self.BUDGETS:
+                expected = cover_search_reference(holders, incumbent, budget)
+                assert _cover_search(holders, incumbent, budget) == expected, (g.n, budget)
+                cases += 1
+        assert cases >= 8 * len(self.BUDGETS)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(1, (1 << 10) - 1), min_size=1, max_size=40),
+        st.integers(0, 10),
+        st.sampled_from(BUDGETS),
+    )
+    def test_random_holder_lists(self, holders, size, budget):
+        # The incumbent need not be a cover: only its size bounds the search.
+        incumbent = list(range(size))
+        expected = cover_search_reference(holders, incumbent, budget)
+        assert _cover_search(holders, incumbent, budget) == expected
+
+
+class TestMilpOracle:
+    # Past n = 12 brute force cannot check the value; a MILP can.
+    def test_oracle_matches_bruteforce(self):
+        pytest.importorskip("scipy")
+        for g in random_connected_graphs(15, 3, 8, seed=29):
+            assert milp_dem(g) == brute_minimum_monitoring(g)[0]
+
+    def test_value_against_optimum(self):
+        pytest.importorskip("scipy")
+        graphs = random_connected_graphs(12, 20, 40, seed=53, p_lo=0.08, p_hi=0.25)
+        flags = set()
+        for g in graphs:
+            res = dem_exact(g, budget=3000)
+            opt = milp_dem(g)
+            assert res.value == opt if res.exact else res.value >= opt, (g.n, g.m)
+            flags.add(res.exact)
+        assert flags == {True, False}
 
 
 class TestImproveCover:
