@@ -318,8 +318,9 @@ class BaseGraphResult:
 def base_graph(g: Graph) -> BaseGraphResult:
     """Iteratively strip degree-1 vertices down to the 2-core.
 
-    Idempotent; preserves every cycle of g.  Raises DisconnectedError for
-    disconnected input.
+    Idempotent; preserves every cycle of g.  When no vertex is stripped, the
+    result holds g itself (a Graph is immutable, so sharing it is safe) and
+    the identity mapping.  Raises DisconnectedError for disconnected input.
     """
     if g.n == 0:
         raise BadParameterError("base graph of an empty graph is undefined")
@@ -340,6 +341,8 @@ def base_graph(g: Graph) -> BaseGraphResult:
                 if deg[w] == 1:
                     q.append(w)
     survivors = [v for v in range(g.n) if not removed[v]]
+    if len(survivors) == g.n:
+        return BaseGraphResult(graph=g, old_to_new=tuple(range(g.n)), was_tree=was_tree)
     old_to_new: list = [None] * g.n
     for new, old in enumerate(survivors):
         old_to_new[old] = new

@@ -137,11 +137,11 @@ def _em_holders(g: Graph) -> list:
 
     em_set's unique-parent rule for every source at once: a multi-source
     BFS, level by level, with one bit per source.  At level k, front[v]
-    holds the sources at distance exactly k from v and seen[v] those at
-    distance <= k.  A source new to v at level k + 1 lies in the front of
+    holds the sources at distance exactly k from v and unseen[v] those
+    farther away.  A source new to v at level k + 1 lies in the front of
     one or of several neighbours of v; where it is one neighbour w, that
     neighbour is v's only parent, and the source monitors the edge (v, w).
-    A vertex that has seen every source drops out of the scan.  In a
+    A vertex with no unseen source left drops out of the scan.  In a
     connected graph every remaining vertex meets new sources at every
     level (the vertices of a shortest path to an unseen source lie at every
     distance), so a vertex that meets none means the graph is disconnected,
@@ -159,9 +159,9 @@ def _em_holders(g: Graph) -> list:
                 nbrs[v].append((u, m))
                 m += 1
     holders = [0] * m
-    seen = [1 << v for v in range(n)]
-    front = seen[:]
+    front = [1 << v for v in range(n)]
     full = (1 << n) - 1
+    unseen = [full ^ f for f in front]
     active = list(range(n))
     while active:
         nxt = [0] * n
@@ -172,7 +172,7 @@ def _em_holders(g: Graph) -> list:
                 f = front[w]
                 twice |= once & f
                 once |= f
-            new = once & ~seen[v]
+            new = once & unseen[v]
             if not new:
                 require_connected(g, "EM sets")
             nxt[v] = new
@@ -182,9 +182,9 @@ def _em_holders(g: Graph) -> list:
                     h = front[w] & uniq
                     if h:
                         holders[e] |= h
-            s = seen[v] | new
-            seen[v] = s
-            if s != full:
+            rest = unseen[v] ^ new
+            unseen[v] = rest
+            if rest:
                 still.append(v)
         front = nxt
         active = still

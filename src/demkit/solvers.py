@@ -2,16 +2,20 @@
 
 The exact solver first strips the input to its 2-core (the minimum is
 invariant under pendant-tree removal), then solves minimum set cover over
-the per-vertex EM sets of the core: elements are core edges, candidate sets
-are EM(x) for each core vertex x.  One branch-and-bound search, seeded with
-the greedy cover, returns the optimum that is lexicographically smallest
-over core vertices, so the reported monitor set is canonical.  When the node
-budget runs out, the covers found so far are improved by local search and
-the smallest is returned as inexact.
+the per-vertex EM sets of the core: candidate sets are EM(x) for each core
+vertex x, and elements are classes of core edges monitored by the same
+vertices (on a grid, whole rows of edges fall into one class).  Greedy
+still counts edges, through each class's weight, so merging changes no
+pick.  One branch-and-bound search, seeded with the greedy cover, returns
+the optimum that is lexicographically smallest over core vertices, so the
+reported monitor set is canonical.  When the node budget runs out, the
+covers found so far are improved by local search and the smallest is
+returned as inexact.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from time import perf_counter
@@ -53,15 +57,46 @@ class DemResult:
         }
 
 
-def _greedy_cover(masks: list, full: int) -> list:
+def _merge(holders: list) -> tuple:
+    """Merge the elements covered by the same sets into classes.
+
+    Returns (classes, buckets): classes lists the distinct masks of holders
+    in order of first occurrence, and buckets pairs each multiplicity w with
+    the mask of the classes that stand for w elements.  When no two masks
+    are equal, holders itself is returned, with the single bucket (1, all).
+    First-occurrence order keeps the lowest uncovered class the class of the
+    lowest uncovered element, so _improve_cover makes the same moves on
+    classes as on elements.
+    """
+    classes = list(dict.fromkeys(holders))
+    if len(classes) == len(holders):
+        return holders, [(1, (1 << len(holders)) - 1)]
+    count = Counter(holders)
+    buckets: dict = {}
+    for c, h in enumerate(classes):
+        w = count[h]
+        buckets[w] = buckets.get(w, 0) | 1 << c
+    return classes, sorted(buckets.items())
+
+
+def _greedy_cover(masks: list, full: int, buckets: list) -> list:
     """Repeatedly take the set covering the most uncovered elements (ties to
-    the lowest index)."""
+    the lowest index).
+
+    masks range over the classes of _merge, and a class counts for the w
+    elements it stands for: the gain is the sum of w * popcount over the
+    buckets.
+    """
     covered = 0
     chosen = []
     while covered != full:
         best_v, best_gain = -1, 0
+        left = full ^ covered
+        parts = [(w, b & left) for w, b in buckets]
         for v, m in enumerate(masks):
-            gain = (m & ~covered).bit_count()
+            gain = 0
+            for w, b in parts:
+                gain += w * (m & b).bit_count()
             if gain > best_gain:
                 best_v, best_gain = v, gain
         if best_v < 0:
@@ -230,6 +265,17 @@ def _transpose(holders: list, n: int) -> list:
     return masks
 
 
+def _cover_instance(g: Graph) -> tuple:
+    """dem on g as set cover over merged edge classes.
+
+    Returns (classes, buckets, masks, full): the classes and buckets of
+    _merge over the EM holders of g's edges, masks[x] the classes in EM(x),
+    and full the mask of all classes.
+    """
+    classes, buckets = _merge(_em_holders(g))
+    return classes, buckets, _transpose(classes, g.n), (1 << len(classes)) - 1
+
+
 def dem_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> DemResult:
     """Provably minimum monitoring set, with certificate.
 
@@ -257,16 +303,14 @@ def dem_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> DemResult:
             stats={"nodes": 0, "millis": millis},
         )
     gb = base.graph
-    holders = _em_holders(gb)
-    full = (1 << len(holders)) - 1
-    masks = _transpose(holders, gb.n)
-    incumbent = _greedy_cover(masks, full)
-    covers, nodes, exact = _cover_search(holders, incumbent, budget)
+    classes, buckets, masks, full = _cover_instance(gb)
+    incumbent = _greedy_cover(masks, full, buckets)
+    covers, nodes, exact = _cover_search(classes, incumbent, budget)
     best = covers[-1]
     if not exact:
         # Polishing every cover, not only the last, keeps a larger budget
         # from ending on a worse result.
-        best = min((_improve_cover(masks, holders, full, c) for c in covers), key=len)
+        best = min((_improve_cover(masks, classes, full, c) for c in covers), key=len)
     new_to_old = base.new_to_old
     monitor_set = tuple(sorted(new_to_old[v] for v in best))
     cert = is_monitoring_set(g, monitor_set)
@@ -292,10 +336,8 @@ def dem_greedy(g: Graph) -> DemResult:
         raise BadParameterError("dem is defined for graphs with at least one edge")
     require_connected(g, "dem")
     t0 = perf_counter()
-    holders = _em_holders(g)
-    full = (1 << len(holders)) - 1
-    masks = _transpose(holders, g.n)
-    chosen = sorted(_greedy_cover(masks, full))
+    _, buckets, masks, full = _cover_instance(g)
+    chosen = sorted(_greedy_cover(masks, full, buckets))
     cert = is_monitoring_set(g, chosen)
     millis = (perf_counter() - t0) * 1000.0
     return DemResult(

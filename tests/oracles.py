@@ -5,8 +5,9 @@ point is a second, slower route to the same quantity.  Distances come from
 repeated edge relaxation rather than BFS, connectivity from union-find,
 monitored-set minima from subset enumeration over naively recomputed EM
 sets, certificate witnesses from a BFS on G-e for every monitor and edge.
-The set-cover search is checked against a frozen copy of its earlier,
-plainer loop, and its value against a MILP solved by scipy.
+The set-cover search and the greedy cover are checked against frozen
+copies of their earlier, plainer loops over one element per edge, and the
+search's value against a MILP solved by scipy.
 """
 
 from __future__ import annotations
@@ -200,6 +201,27 @@ def _bits(x: int):
         low = x & -x
         yield low.bit_length() - 1
         x ^= low
+
+
+def greedy_cover_reference(masks: list, full: int) -> list:
+    """``solvers._greedy_cover`` as it was before elements were merged.
+
+    Elements are single edges, each counting once.  Repeatedly take the set
+    covering the most uncovered elements (ties to the lowest index).
+    """
+    covered = 0
+    chosen = []
+    while covered != full:
+        best_v, best_gain = -1, 0
+        for v, m in enumerate(masks):
+            gain = (m & ~covered).bit_count()
+            if gain > best_gain:
+                best_v, best_gain = v, gain
+        if best_v < 0:
+            raise AssertionError("uncoverable element in set-cover instance")
+        chosen.append(best_v)
+        covered |= masks[best_v]
+    return chosen
 
 
 def cover_search_reference(holders: list, incumbent: list, budget: int) -> tuple:

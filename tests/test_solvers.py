@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,10 +16,23 @@ from demkit import (
 )
 from demkit import generators as gen
 from demkit.monitor import _em_holders
-from demkit.solvers import _cover_search, _greedy_cover, _improve_cover, _transpose
+from demkit.solvers import (
+    _cover_instance,
+    _cover_search,
+    _greedy_cover,
+    _improve_cover,
+    _merge,
+    _transpose,
+)
 
 from conftest import attach_pendant_trees, random_connected_graphs
-from oracles import brute_minimum_monitoring, cover_search_reference, harmonic, milp_dem
+from oracles import (
+    brute_minimum_monitoring,
+    cover_search_reference,
+    greedy_cover_reference,
+    harmonic,
+    milp_dem,
+)
 
 
 class TestDemExact:
@@ -184,7 +199,8 @@ class TestCoverSearchParity:
                 continue
             holders = _em_holders(base.graph)
             masks = _transpose(holders, base.graph.n)
-            incumbent = _greedy_cover(masks, (1 << len(holders)) - 1)
+            full = (1 << len(holders)) - 1
+            incumbent = _greedy_cover(masks, full, [(1, full)])
             for budget in self.BUDGETS:
                 expected = cover_search_reference(holders, incumbent, budget)
                 assert _cover_search(holders, incumbent, budget) == expected, (g.n, budget)
@@ -222,6 +238,23 @@ class TestMilpOracle:
             flags.add(res.exact)
         assert flags == {True, False}
 
+    # The budget-capped graphs of the seed-0 benchmark corpus, n = 50-70,
+    # each solved by the MILP in under 2 s.
+    CAPPED = {
+        "capped50": (50, 0.12, 1465606945, 13),
+        "capped60": (60, 0.10, 212175698, 12),
+        "capped70": (70, 0.08, 1677978321, 10),
+    }
+
+    @pytest.mark.parametrize("name", CAPPED)
+    def test_capped_past_fifty(self, name):
+        pytest.importorskip("scipy")
+        n, p, seed, optimum = self.CAPPED[name]
+        g = gen.random_connected(n, p, seed)
+        assert milp_dem(g) == optimum
+        res = dem_exact(g, budget=200_000)
+        assert res.value == optimum if res.exact else res.value >= optimum
+
 
 class TestImproveCover:
     @pytest.mark.parametrize(
@@ -240,6 +273,100 @@ class TestImproveCover:
         assert sorted(_improve_cover(masks, holders, full, cover)) == improved
 
 
+def _tree_plus_chords(n: int, chords: int, seed: int):
+    rng = random.Random(seed)
+    edges = [(v, rng.randrange(v)) for v in range(1, n)]
+    while chords:
+        u, v = rng.sample(range(n), 2)
+        if (u, v) not in edges and (v, u) not in edges:
+            edges.append((u, v))
+            chords -= 1
+    return build_graph(n, edges)
+
+
+class TestMergedClasses:
+    # Greedy on merged classes, counted through the buckets, and the local
+    # search on class masks must pick what they pick on one element per edge.
+    FAMILIES = {
+        "grid": lambda: [gen.grid(a, b).graph for a in range(2, 12) for b in range(a, 12)],
+        "hypercube": lambda: [gen.hypercube(d).graph for d in range(2, 7)],
+        "random": lambda: random_connected_graphs(40, 5, 44, seed=83, p_lo=0.1, p_hi=0.7),
+        "tree_chords": lambda: [
+            _tree_plus_chords(10 + 10 * i, 1 + i % 7, seed=i) for i in range(15)
+        ],
+    }
+
+    @staticmethod
+    def _cores(family):
+        for g in TestMergedClasses.FAMILIES[family]():
+            base = base_graph(g)
+            if not base.was_tree:
+                yield base.graph
+
+    def test_merge(self):
+        holders = [5, 3, 5, 6, 3, 5]
+        classes, buckets = _merge(holders)
+        assert classes == [5, 3, 6]
+        assert buckets == [(1, 0b100), (2, 0b010), (3, 0b001)]
+        distinct = [4, 1, 2]
+        assert _merge(distinct) == (distinct, [(1, 0b111)])
+        assert _merge(distinct)[0] is distinct
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_greedy_same_picks(self, family):
+        merged = 0
+        for core in self._cores(family):
+            holders = _em_holders(core)
+            raw = _transpose(holders, core.n)
+            expected = greedy_cover_reference(raw, (1 << len(holders)) - 1)
+            classes, buckets, masks, full = _cover_instance(core)
+            assert _greedy_cover(masks, full, buckets) == expected, (core.n, core.m)
+            merged += len(classes) < len(holders)
+        # No two edges of a hypercube have the same monitors.
+        assert merged > 0 or family == "hypercube"
+
+    @staticmethod
+    @st.composite
+    def _holders_with_duplicates(draw):
+        pool = draw(st.lists(st.integers(1, (1 << 8) - 1), min_size=1, max_size=10))
+        # More elements than distinct masks: some mask repeats.
+        return draw(st.lists(st.sampled_from(pool), min_size=len(pool) + 1, max_size=40))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_holders_with_duplicates())
+    def test_greedy_same_picks_random_holders(self, holders):
+        n = max(map(int.bit_length, holders))
+        expected = greedy_cover_reference(_transpose(holders, n), (1 << len(holders)) - 1)
+        classes, buckets = _merge(holders)
+        assert len(classes) < len(holders)
+        masks = _transpose(classes, n)
+        assert _greedy_cover(masks, full=(1 << len(classes)) - 1, buckets=buckets) == expected
+
+    # Hypercubes are left out: with no class merged, both runs would get
+    # the same input.
+    @pytest.mark.parametrize("family", ["grid", "random"])
+    def test_improve_cover_same_covers(self, family):
+        rng = random.Random(7)
+        cases = 0
+        for core in self._cores(family):
+            holders = _em_holders(core)
+            classes, buckets, masks, full = _cover_instance(core)
+            if len(classes) == len(holders):
+                continue
+            raw = _transpose(holders, core.n)
+            raw_full = (1 << len(holders)) - 1
+            incumbent = _greedy_cover(masks, full, buckets)
+            spare = [v for v in range(core.n) if v not in incumbent]
+            starts = [list(range(core.n)), incumbent + rng.sample(spare, min(3, len(spare)))]
+            for budget in (0, 5, 40):
+                starts += _cover_search(classes, incumbent, budget)[0]
+            for cover in starts:
+                expected = _improve_cover(raw, holders, raw_full, cover)
+                assert _improve_cover(masks, classes, full, cover) == expected, core.n
+                cases += 1
+        assert cases >= 20
+
+
 class TestBaseGraphIdentity:
     def test_pendants_do_not_change_value(self):
         for i in range(25):
@@ -251,6 +378,26 @@ class TestBaseGraphIdentity:
             reduced = dem_exact(base_graph(g).graph)
             assert full.value == reduced.value
             assert full.certificate.is_monitoring
+
+
+class TestBaseGraphUnstripped:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: gen.complete(5).graph,
+            lambda: gen.cycle(7).graph,
+            lambda: gen.grid(4, 4).graph,
+            lambda: gen.petersen().graph,
+        ],
+        ids=["K5", "C7", "grid4x4", "petersen"],
+    )
+    def test_input_returned(self, make):
+        g = make()
+        base = base_graph(g)
+        assert base.graph is g
+        assert base.old_to_new == tuple(range(g.n))
+        assert base.new_to_old == tuple(range(g.n))
+        assert base.was_tree is False
 
 
 class TestDemGreedy:
