@@ -237,7 +237,7 @@ def cmd_dem(args) -> int:
     runs = {}
     for m in methods:
         runs[m] = dem_exact(g, budget=args.budget) if m == "exact" else dem_greedy(g)
-    results = {m: res.to_json(include_timing=False, label=loaded.label) for m, res in runs.items()}
+    results = {m: res.to_json(label=loaded.label) for m, res in runs.items()}
     res = runs[methods[-1]]
     _emit(
         args,
@@ -300,14 +300,13 @@ def cmd_char(args) -> int:
     base = base_graph(loaded.graph)
     if base.was_tree:
         raise IsTreeError("tree input: the single-monitor characterization applies")
-    gb, lift = base.graph, base.new_to_old
-    back = {old: new for new, old in enumerate(lift)}
+    gb, lift, back = base.graph, base.new_to_old, base.old_to_new
 
     def to_base(tokens, count):
         verts = [loaded.resolve(t.strip()) for t in tokens.split(",")]
         if len(verts) != count:
             raise BadParameterError(f"--tuple needs {count} vertices")
-        missing = [loaded.label(v) for v in verts if v not in back]
+        missing = [loaded.label(v) for v in verts if back[v] is None]
         if missing:
             raise BadParameterError(f"vertices {missing} are not in the base graph")
         return [back[v] for v in verts]

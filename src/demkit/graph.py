@@ -48,6 +48,11 @@ def canonical_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def _check_vertex(g: "Graph", x: int) -> None:
+    if not (0 <= x < g.n):
+        raise OutOfRangeError(f"vertex {x} outside 0..{g.n - 1}")
+
+
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
@@ -84,8 +89,7 @@ class Graph:
         return self._m
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        if not (0 <= v < self.n):
-            raise OutOfRangeError(f"vertex {v} outside 0..{self.n - 1}")
+        _check_vertex(self, v)
         return self._adj[v]
 
     def degree(self, v: int) -> int:
@@ -102,9 +106,6 @@ class Graph:
             for v in self._adj[u]:
                 if u < v:
                     yield (u, v)
-
-    def edge_list(self) -> list[tuple[int, int]]:
-        return list(self.edges())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -125,6 +126,46 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, edges)
 
 
+_MANY = -2  # parent marker: the vertex has several neighbours one level closer
+
+
+def _sweep(g: Graph, *sources: int) -> tuple[list, list, list]:
+    """BFS from each source in turn: (visit order, distances, unique
+    shortest-path parents).
+
+    The package's one BFS over the whole graph.  With one source x,
+    parent[v] is v's only neighbour one level closer to x, _MANY when there
+    are several, and -1 for x itself and for unreached vertices (distance
+    -1).  All of v's parents are dequeued while v waits in the queue, so the
+    BFS loop sees each of them and no second adjacency scan is needed.  A
+    later source not reached by an earlier one starts a new component at
+    distance 0, so one call with every vertex as a source visits each
+    component once.
+    """
+    n = g.n
+    dist = [-1] * n
+    parent = [-1] * n
+    order: list = []
+    adj = g._adj
+    for x in sources:
+        if dist[x] >= 0:
+            continue
+        dist[x] = 0
+        component = [x]
+        for u in component:
+            du1 = dist[u] + 1
+            for w in adj[u]:
+                dw = dist[w]
+                if dw < 0:
+                    dist[w] = du1
+                    parent[w] = u
+                    component.append(w)
+                elif dw == du1:
+                    parent[w] = _MANY
+        order += component
+    return order, dist, parent
+
+
 def _bfs(g: Graph, source: int, skip: Optional[tuple[int, int]] = None) -> list[int]:
     """Hop distances from source as plain ints; -1 marks unreachable.
 
@@ -132,27 +173,20 @@ def _bfs(g: Graph, source: int, skip: Optional[tuple[int, int]] = None) -> list[
     arithmetic with it; the public wrappers convert -1 to UNREACHABLE.
     Pass skip=(u, v) to run on G-e without materialising the deletion.
     """
+    if skip is None:
+        return _sweep(g, source)[1]
     dist = [-1] * g.n
     dist[source] = 0
     q = deque([source])
     adj = g._adj
-    if skip is None:
-        while q:
-            u = q.popleft()
-            du1 = dist[u] + 1
-            for w in adj[u]:
-                if dist[w] < 0:
-                    dist[w] = du1
-                    q.append(w)
-    else:
-        a, b = skip
-        while q:
-            u = q.popleft()
-            du1 = dist[u] + 1
-            for w in adj[u]:
-                if dist[w] < 0 and not ((u == a and w == b) or (u == b and w == a)):
-                    dist[w] = du1
-                    q.append(w)
+    a, b = skip
+    while q:
+        u = q.popleft()
+        du1 = dist[u] + 1
+        for w in adj[u]:
+            if dist[w] < 0 and not ((u == a and w == b) or (u == b and w == a)):
+                dist[w] = du1
+                q.append(w)
     return dist
 
 
@@ -170,12 +204,6 @@ class DistanceLayers:
         """N_i: the set of vertices at distance exactly i from the source."""
         return frozenset(v for v, d in enumerate(self.dist) if d == i)
 
-    def layers(self) -> dict:
-        out: dict = {}
-        for v, d in enumerate(self.dist):
-            out.setdefault(d, set()).add(v)
-        return {k: frozenset(vs) for k, vs in out.items()}
-
     def eccentricity(self) -> int:
         finite = [d for d in self.dist if d is not UNREACHABLE]
         return max(finite)
@@ -183,8 +211,7 @@ class DistanceLayers:
 
 def bfs_distances(g: Graph, x: int) -> DistanceLayers:
     """Exact hop distances from x; UNREACHABLE for other components."""
-    if not (0 <= x < g.n):
-        raise OutOfRangeError(f"vertex {x} outside 0..{g.n - 1}")
+    _check_vertex(g, x)
     raw = _bfs(g, x)
     return DistanceLayers(source=x, dist=tuple(d if d >= 0 else UNREACHABLE for d in raw))
 
@@ -201,30 +228,14 @@ def distance_after_deletion(g: Graph, e: tuple[int, int], x: int, y: int):
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    return _bfs(g, 0).count(-1) == 0
+    return g.n <= 1 or len(_sweep(g, 0)[0]) == g.n
 
 
 def component_sizes(g: Graph) -> list[int]:
     """Sizes of connected components, largest first (used in error hints)."""
-    seen = [False] * g.n
-    sizes = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        size = 0
-        q = deque([s])
-        seen[s] = True
-        while q:
-            u = q.popleft()
-            size += 1
-            for w in g._adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    q.append(w)
-        sizes.append(size)
-    return sorted(sizes, reverse=True)
+    order, dist, _ = _sweep(g, *range(g.n))
+    starts = [i for i, v in enumerate(order) if dist[v] == 0] + [g.n]
+    return sorted((b - a for a, b in zip(starts, starts[1:])), reverse=True)
 
 
 def require_connected(g: Graph, what: str = "operation") -> None:
@@ -297,22 +308,17 @@ def bridges(g: Graph) -> set:
 class BaseGraphResult:
     """The 2-core of a graph plus the vertex mapping into it.
 
-    For a tree the 2-core would be empty; instead a single surviving vertex
+    old_to_new[v] is v's core id (None when v was stripped); new_to_old
+    lists the surviving vertices in order, so it maps core ids back.  For a
+    tree the 2-core would be empty; instead a single surviving vertex
     is kept as a degenerate marker and was_tree is set, so downstream code
     never has to handle an empty graph.
     """
 
     graph: Graph
     old_to_new: tuple
+    new_to_old: tuple
     was_tree: bool
-
-    @property
-    def new_to_old(self) -> tuple:
-        inv = [None] * self.graph.n
-        for old, new in enumerate(self.old_to_new):
-            if new is not None:
-                inv[new] = old
-        return tuple(inv)
 
 
 def base_graph(g: Graph) -> BaseGraphResult:
@@ -340,9 +346,11 @@ def base_graph(g: Graph) -> BaseGraphResult:
                 deg[w] -= 1
                 if deg[w] == 1:
                     q.append(w)
-    survivors = [v for v in range(g.n) if not removed[v]]
+    survivors = tuple(v for v in range(g.n) if not removed[v])
     if len(survivors) == g.n:
-        return BaseGraphResult(graph=g, old_to_new=tuple(range(g.n)), was_tree=was_tree)
+        return BaseGraphResult(
+            graph=g, old_to_new=survivors, new_to_old=survivors, was_tree=was_tree
+        )
     old_to_new: list = [None] * g.n
     for new, old in enumerate(survivors):
         old_to_new[old] = new
@@ -354,5 +362,6 @@ def base_graph(g: Graph) -> BaseGraphResult:
     return BaseGraphResult(
         graph=Graph(len(survivors), core_edges),
         old_to_new=tuple(old_to_new),
+        new_to_old=survivors,
         was_tree=was_tree,
     )

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from .errors import (
     EdgeNotPresentError,
     NotZeroError,
-    OutOfRangeError,
     PathOverflowError,
 )
-from .graph import Graph, _bfs, canonical_edge, require_connected
+from .graph import _MANY, Graph, _bfs, _check_vertex, _sweep, canonical_edge, require_connected
 
 
 @dataclass(frozen=True)
@@ -79,41 +78,6 @@ class MonitoringCertificate:
             },
             "uncovered": [[label(u), label(v)] for u, v in sorted(self.uncovered)],
         }
-
-
-def _check_vertex(g: Graph, x: int) -> None:
-    if not (0 <= x < g.n):
-        raise OutOfRangeError(f"vertex {x} outside 0..{g.n - 1}")
-
-
-_MANY = -2  # parent marker: the vertex has several neighbours one level closer
-
-
-def _sweep(g: Graph, x: int) -> tuple[list, list, list]:
-    """One BFS from x: (visit order, distances, unique shortest-path parents).
-
-    parent[v] is v's only neighbour one level closer to x, _MANY when there
-    are several, and -1 for x itself and for unreached vertices (distance
-    -1).  All of v's parents are dequeued while v waits in the queue, so the
-    BFS loop sees each of them and no second adjacency scan is needed.
-    """
-    n = g.n
-    dist = [-1] * n
-    parent = [-1] * n
-    dist[x] = 0
-    order = [x]
-    adj = g._adj
-    for u in order:
-        du1 = dist[u] + 1
-        for w in adj[u]:
-            dw = dist[w]
-            if dw < 0:
-                dist[w] = du1
-                parent[w] = u
-                order.append(w)
-            elif dw == du1:
-                parent[w] = _MANY
-    return order, dist, parent
 
 
 def em_set(g: Graph, x: int) -> EmSet:
@@ -343,8 +307,11 @@ def p_set_size_zero_reason(g: Graph, monitors, e: tuple) -> PairSetZeroReason:
     return PairSetZeroReason(empty_monitor_set=False, per_vertex=per_vertex)
 
 
-def enumerate_shortest_paths(g: Graph, x: int, y: int, cap: int = 100_000) -> list:
-    """All shortest x-y paths as vertex tuples; PathOverflowError beyond cap.
+_PATH_CAP = 100_000  # most shortest paths enumerate_shortest_paths returns
+
+
+def enumerate_shortest_paths(g: Graph, x: int, y: int) -> list:
+    """All shortest x-y paths as vertex tuples; PathOverflowError beyond _PATH_CAP.
 
     Desk-scale oracle machinery: backtracks from y through BFS predecessors.
     """
@@ -359,8 +326,8 @@ def enumerate_shortest_paths(g: Graph, x: int, y: int, cap: int = 100_000) -> li
         u, suffix = stack.pop()
         if u == x:
             paths.append(suffix)
-            if len(paths) > cap:
-                raise PathOverflowError(f"more than {cap} shortest paths between {x} and {y}")
+            if len(paths) > _PATH_CAP:
+                raise PathOverflowError(f"more than {_PATH_CAP} shortest paths between {x} and {y}")
             continue
         for w in g._adj[u]:
             if dist[w] == dist[u] - 1:
@@ -372,14 +339,14 @@ def _path_edges(path) -> frozenset:
     return frozenset(canonical_edge(path[i], path[i + 1]) for i in range(len(path) - 1))
 
 
-def has_two_nearly_disjoint_shortest_paths(g: Graph, x: int, y: int, cap: int = 100_000) -> bool:
+def has_two_nearly_disjoint_shortest_paths(g: Graph, x: int, y: int) -> bool:
     """True when two shortest x-y paths share at most their initial edge at x.
 
     A shared edge away from x would stay vulnerable: deleting it changes
     d(x, y) even though two paths existed.  Sharing the first edge is
     harmless because edges at x are always monitored by x anyway.
     """
-    paths = enumerate_shortest_paths(g, x, y, cap=cap)
+    paths = enumerate_shortest_paths(g, x, y)
     edge_sets = [_path_edges(p) for p in paths]
     for i in range(len(edge_sets)):
         for j in range(i + 1, len(edge_sets)):
@@ -389,7 +356,7 @@ def has_two_nearly_disjoint_shortest_paths(g: Graph, x: int, y: int, cap: int = 
     return False
 
 
-def em_incident_only_condition(g: Graph, x: int, cap: int = 100_000) -> bool:
+def em_incident_only_condition(g: Graph, x: int) -> bool:
     """The route-redundancy condition equivalent to EM(x) = edges at x.
 
     Holds when every vertex outside the closed neighborhood of x is reached
@@ -401,6 +368,6 @@ def em_incident_only_condition(g: Graph, x: int, cap: int = 100_000) -> bool:
     for y in range(g.n):
         if y in closed:
             continue
-        if not has_two_nearly_disjoint_shortest_paths(g, x, y, cap=cap):
+        if not has_two_nearly_disjoint_shortest_paths(g, x, y):
             return False
     return True

@@ -42,10 +42,9 @@ class DemResult:
     exact: bool
     stats: dict = field(default_factory=dict)
 
-    def to_json(self, include_timing: bool = True, label=lambda v: v) -> dict:
+    def to_json(self, label=lambda v: v) -> dict:
+        """The report body; wall time stays out so reports are reproducible."""
         stats = {"nodes": self.stats.get("nodes", 0)}
-        if include_timing and "millis" in self.stats:
-            stats["millis"] = self.stats["millis"]
         if self.stats.get("budget_exhausted"):
             stats["budget_exhausted"] = True
         return {
@@ -276,6 +275,17 @@ def _cover_instance(g: Graph) -> tuple:
     return classes, buckets, _transpose(classes, g.n), (1 << len(classes)) - 1
 
 
+def _certified(g: Graph, ms: tuple, method: str, exact: bool, nodes: int, t0: float) -> DemResult:
+    """The DemResult for the monitoring set ms of g, with its certificate
+    and the time since t0.  An exact-method result that is not exact ran
+    out of budget."""
+    cert = is_monitoring_set(g, ms)
+    stats = {"nodes": nodes, "millis": (perf_counter() - t0) * 1000.0}
+    if method == "exact" and not exact:
+        stats["budget_exhausted"] = True
+    return DemResult(len(ms), ms, cert, method, exact, stats)
+
+
 def dem_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> DemResult:
     """Provably minimum monitoring set, with certificate.
 
@@ -292,18 +302,8 @@ def dem_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> DemResult:
     t0 = perf_counter()
     base = base_graph(g)
     if base.was_tree:
-        cert = is_monitoring_set(g, [0])
-        millis = (perf_counter() - t0) * 1000.0
-        return DemResult(
-            value=1,
-            monitor_set=(0,),
-            certificate=cert,
-            method="exact",
-            exact=True,
-            stats={"nodes": 0, "millis": millis},
-        )
-    gb = base.graph
-    classes, buckets, masks, full = _cover_instance(gb)
+        return _certified(g, (0,), "exact", True, 0, t0)
+    classes, buckets, masks, full = _cover_instance(base.graph)
     incumbent = _greedy_cover(masks, full, buckets)
     covers, nodes, exact = _cover_search(classes, incumbent, budget)
     best = covers[-1]
@@ -311,21 +311,8 @@ def dem_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> DemResult:
         # Polishing every cover, not only the last, keeps a larger budget
         # from ending on a worse result.
         best = min((_improve_cover(masks, classes, full, c) for c in covers), key=len)
-    new_to_old = base.new_to_old
-    monitor_set = tuple(sorted(new_to_old[v] for v in best))
-    cert = is_monitoring_set(g, monitor_set)
-    millis = (perf_counter() - t0) * 1000.0
-    stats = {"nodes": nodes, "millis": millis}
-    if not exact:
-        stats["budget_exhausted"] = True
-    return DemResult(
-        value=len(monitor_set),
-        monitor_set=monitor_set,
-        certificate=cert,
-        method="exact",
-        exact=exact,
-        stats=stats,
-    )
+    monitor_set = tuple(sorted(base.new_to_old[v] for v in best))
+    return _certified(g, monitor_set, "exact", exact, nodes, t0)
 
 
 def dem_greedy(g: Graph) -> DemResult:
@@ -337,17 +324,8 @@ def dem_greedy(g: Graph) -> DemResult:
     require_connected(g, "dem")
     t0 = perf_counter()
     _, buckets, masks, full = _cover_instance(g)
-    chosen = sorted(_greedy_cover(masks, full, buckets))
-    cert = is_monitoring_set(g, chosen)
-    millis = (perf_counter() - t0) * 1000.0
-    return DemResult(
-        value=len(chosen),
-        monitor_set=tuple(chosen),
-        certificate=cert,
-        method="greedy",
-        exact=False,
-        stats={"nodes": 0, "millis": millis},
-    )
+    chosen = tuple(sorted(_greedy_cover(masks, full, buckets)))
+    return _certified(g, chosen, "greedy", False, 0, t0)
 
 
 def verify_dem_result(g: Graph, result: DemResult) -> bool:
@@ -378,8 +356,7 @@ def verify_dem_result(g: Graph, result: DemResult) -> bool:
         if before[y] == after[y]:
             return False
     if result.method == "exact" and result.exact and result.value > 1:
-        base = base_graph(g)
-        gb = base.graph
+        gb = base_graph(g).graph
         if gb.n <= 12:
             naive = {x: em_set_naive(gb, x).edges for x in range(gb.n)}
             all_edges = set(gb.edges())

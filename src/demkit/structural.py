@@ -16,23 +16,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import ceil
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .errors import (
     BadParameterError,
     IsTreeError,
-    OutOfRangeError,
     TooLargeError,
 )
 from .graph import (
+    _MANY,
     Graph,
-    _bfs,
+    _check_vertex,
+    _sweep,
     base_graph,
     degree_extremes,
-    is_tree,
     require_connected,
 )
-from .monitor import _MANY, _sweep, em_set, em_set_naive, is_monitoring_set
+from .monitor import em_set, em_set_naive, is_monitoring_set
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,19 @@ class LayerProfile:
     cell_of: tuple
     cells: dict
 
-    def cell(self, key: tuple) -> frozenset:
-        return self.cells.get(key, frozenset())
+
+def _rows(g: Graph, sources) -> list:
+    """The BFS distance row of each source, one sweep per source.
+
+    Raises OutOfRangeError for a source outside g and DisconnectedError
+    when g is disconnected.
+    """
+    for s in sources:
+        _check_vertex(g, s)
+    rows = [_sweep(g, s)[1] for s in sources]
+    if rows and -1 in rows[0]:
+        require_connected(g, "layer profile")
+    return rows
 
 
 def layer_profile(g: Graph, sources) -> LayerProfile:
@@ -58,12 +69,7 @@ def layer_profile(g: Graph, sources) -> LayerProfile:
         raise BadParameterError("layer profile needs exactly 2 or 3 sources")
     if len(set(srcs)) != len(srcs):
         raise BadParameterError("layer profile sources must be distinct")
-    for s in srcs:
-        if not (0 <= s < g.n):
-            raise OutOfRangeError(f"vertex {s} outside 0..{g.n - 1}")
-    require_connected(g, "layer profile")
-    dists = [_bfs(g, s) for s in srcs]
-    cell_of = tuple(tuple(d[v] for d in dists) for v in range(g.n))
+    cell_of = tuple(zip(*_rows(g, srcs)))
     cells: dict = {}
     for v, key in enumerate(cell_of):
         cells.setdefault(key, set()).add(v)
@@ -145,23 +151,13 @@ def _step(of: int, from_x=(), from_y=()) -> tuple:
     return (of, frozenset(map(_encode, from_x)), frozenset(map(_encode, from_y)))
 
 
-class _Cells(NamedTuple):
-    """The distance-cell partition in the forms the rules read."""
-
-    adj: tuple
-    cell_of: tuple
-    code: list
-    diffs: list  # diffs[x]: the code differences from x to its neighbours
-
-
 @dataclass(frozen=True)
 class _Rule:
     name: str
     alternatives: tuple
     order: tuple  # witness = the picked vertices in this order
 
-    def __call__(self, cells: _Cells) -> ConditionResult:
-        adj, _, code, diffs = cells
+    def __call__(self, adj, code: list, diffs: list) -> ConditionResult:
         for x in range(len(adj)):
             for steps in self.alternatives:
                 # A first step picks a neighbour of x by offsets from x alone.
@@ -189,14 +185,19 @@ def _extend(adj, code, picked: tuple, steps: tuple) -> Optional[tuple]:
     return None
 
 
-def _evaluate(g: Graph, sources: tuple, rules: tuple) -> tuple:
-    """Each rule's ConditionResult on the cell partition of `sources`."""
-    prof = layer_profile(g, sources)
-    code = [_encode(c) for c in prof.cell_of]
+def _evaluate(g: Graph, rows: list, rules: tuple) -> tuple:
+    """Each rule's ConditionResult on the cell partition of the sources
+    whose distance rows are given.
+
+    A rule reads the adjacency, each vertex's cell code and, in diffs[x],
+    the code differences from x to its neighbours.
+    """
+    code = [0] * g.n
+    for row in rows:
+        code = [c * _RADIX + d for c, d in zip(code, row)]
     adj = g._adj
     diffs = [{code[w] - cx for w in adj[x]} for x, cx in enumerate(code)]
-    cells = _Cells(adj, prof.cell_of, code, diffs)
-    return tuple(rule(cells) for rule in rules)
+    return tuple(rule(adj, code, diffs) for rule in rules)
 
 
 def _report(g: Graph, sources: tuple, conditions: tuple) -> ConditionReport:
@@ -219,7 +220,12 @@ _INDEPENDENT = _Rule("independent_cells", ((_step(X, [(0, 0)]),),), (0, 1))
 # ---------------------------------------------------------------------------
 
 
-def _unique_parent_constraints(cells: _Cells) -> ConditionResult:
+_UP_U = frozenset(_encode((-1, dj)) for dj in (-1, 0, 1))  # one step closer to u
+_UP_V = frozenset(_encode((di, -1)) for di in (-1, 0, 1))  # one step closer to v
+_DIAG, _UP_U_ONLY, _UP_V_ONLY = _encode((-1, -1)), _encode((-1, 0)), _encode((0, -1))
+
+
+def _unique_parent_constraints(adj, code: list, diffs: list) -> ConditionResult:
     """Neighbor-uniqueness around each vertex.
 
     Two neighbors one step closer to both monitors are always fatal; a
@@ -228,17 +234,15 @@ def _unique_parent_constraints(cells: _Cells) -> ConditionResult:
     witness names the first two closer neighbours, which need not match
     any one cell, so this rule is not a table entry.
     """
-    adj, cell_of = cells.adj, cells.cell_of
-    for x in range(len(adj)):
-        i, j = cell_of[x]
-        up_u = [w for w in adj[x] if cell_of[w][0] == i - 1]
-        up_v = [w for w in adj[x] if cell_of[w][1] == j - 1]
-        diag = [w for w in up_u if cell_of[w][1] == j - 1]
+    for x, cx in enumerate(code):
+        up_u = [w for w in adj[x] if code[w] - cx in _UP_U]
+        up_v = [w for w in adj[x] if code[w] - cx in _UP_V]
+        diag = [w for w in up_u if code[w] - cx == _DIAG]
         if len(diag) > 1:
             return ConditionResult("unique_parent_constraints", False, (x, diag[0], diag[1]))
-        if len(up_u) > 1 and any(cell_of[w] == (i - 1, j) for w in up_u):
+        if len(up_u) > 1 and _UP_U_ONLY in diffs[x]:
             return ConditionResult("unique_parent_constraints", False, (x, up_u[0], up_u[1]))
-        if len(up_v) > 1 and any(cell_of[w] == (i, j - 1) for w in up_v):
+        if len(up_v) > 1 and _UP_V_ONLY in diffs[x]:
             return ConditionResult("unique_parent_constraints", False, (x, up_v[0], up_v[1]))
     return ConditionResult("unique_parent_constraints", True)
 
@@ -278,16 +282,17 @@ def dem2_pair_check(g_b: Graph, u: int, v: int) -> ConditionReport:
     """
     if u == v:
         raise BadParameterError("pair check needs two distinct vertices")
-    return _report(g_b, (u, v), _evaluate(g_b, (u, v), _PAIR_RULES))
+    return _report(g_b, (u, v), _evaluate(g_b, _rows(g_b, (u, v)), _PAIR_RULES))
 
 
 def dem2_first_pass(g_b: Graph) -> Optional[ConditionReport]:
     """Report of the first pair of a base graph, in combinations order, that
     passes all two-monitor conditions, or None."""
-    for pair in combinations(range(g_b.n), 2):
-        conditions = _evaluate(g_b, pair, _PAIR_RULES)
+    rows = _rows(g_b, range(g_b.n))
+    for u, v in combinations(range(g_b.n), 2):
+        conditions = _evaluate(g_b, (rows[u], rows[v]), _PAIR_RULES)
         if all(c.passed for c in conditions):
-            return _report(g_b, pair, conditions)
+            return _report(g_b, (u, v), conditions)
     return None
 
 
@@ -297,10 +302,9 @@ def dem_is_2(g: Graph) -> Optional[tuple]:
     Returns the pair lifted back to g's vertex ids, or None.  Raises
     IsTreeError for trees (single-monitor regime).
     """
-    require_connected(g, "dem_is_2")
-    if is_tree(g):
-        raise IsTreeError("graph is a tree; the single-monitor characterization applies")
     base = base_graph(g)
+    if base.was_tree:
+        raise IsTreeError("graph is a tree; the single-monitor characterization applies")
     report = dem2_first_pass(base.graph)
     if report is None:
         return None
@@ -458,7 +462,7 @@ def dem3_triple_check(g_b: Graph, u: int, v: int, w: int) -> ConditionReport:
     """
     if len({u, v, w}) != 3:
         raise BadParameterError("triple check needs three distinct vertices")
-    return _report(g_b, (u, v, w), _evaluate(g_b, (u, v, w), _TRIPLE_RULES))
+    return _report(g_b, (u, v, w), _evaluate(g_b, _rows(g_b, (u, v, w)), _TRIPLE_RULES))
 
 
 # ---------------------------------------------------------------------------
@@ -572,9 +576,6 @@ class BoundsReport:
     feedback_ub: Optional[int]
     regular_lb: Optional[int]
     em_per_vertex: dict
-
-    def lower(self) -> int:
-        return max(self.density_lb, self.clique_lb or 0, self.regular_lb or 0)
 
     def to_json(self, label=lambda v: v) -> dict:
         out = {

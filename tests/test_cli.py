@@ -1,11 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
+import re
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from demkit.cli import _build_parser, main
+from demkit.cli import FORMATS, _build_parser, main
+from demkit.io import parse_edgelist
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report_schema.json").read_text()
@@ -18,14 +24,18 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+def validate_report(payload: dict) -> None:
+    """Check a JSON report against its command's schema."""
+    schema = dict(SCHEMA["commands"][payload["command"]])
+    schema["$defs"] = SCHEMA["$defs"]
+    jsonschema.validate(payload, schema)
+
+
 def run_json(capsys, *argv):
     code, out = run_cli(capsys, *argv)
     assert code in (0, 4)
     payload = json.loads(out)
-    command = payload["command"]
-    schema = dict(SCHEMA["commands"][command])
-    schema["$defs"] = SCHEMA["$defs"]
-    jsonschema.validate(payload, schema)
+    validate_report(payload)
     return code, payload
 
 
@@ -361,3 +371,146 @@ class TestLabelledGolden:
         f.write_text(LABELLED)
         assert main(["char", str(f), "--target", "3", "--tuple", "t,k,w"]) == 2
         assert "vertices ['t'] are not in the base graph" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing.  Whatever the subcommand, flags, generator spec or edge-list
+# text, the CLI ends with one of its exit codes and no traceback; a JSON
+# report validates against the schema, and a failed call writes no stdout.
+# ---------------------------------------------------------------------------
+
+# Valid specs stay at n <= 12, so every subcommand answers at once, the
+# exact solver and the three-monitor search included.
+VALID_SPECS = st.one_of(
+    st.integers(1, 12).map("path:{}".format),
+    st.integers(3, 12).map("cycle:{}".format),
+    st.integers(1, 12).map("complete:{}".format),
+    st.integers(1, 11).map("star:{}".format),
+    st.tuples(st.integers(1, 6), st.integers(1, 6)).map(
+        "complete_bipartite:{0[0]},{0[1]}".format
+    ),
+    st.tuples(st.integers(2, 4), st.integers(2, 3)).map("grid:{0[0]},{0[1]}".format),
+    st.integers(1, 3).map("hypercube:{}".format),
+    st.tuples(st.integers(0, 5), st.integers(0, 5)).map("doublestar:{0[0]},{0[1]}".format),
+    st.tuples(st.integers(2, 12), st.integers(1, 11)).map("emk:{0[0]},{0[1]}".format),
+    st.integers(4, 12).map("d1:{}".format),
+    st.integers(3, 12).map("d2:{}".format),
+    st.lists(st.integers(1, 3), min_size=2, max_size=3).map(
+        lambda sizes: f"ad:{len(sizes) + 1}," + ",".join(map(str, sizes))
+    ),
+    st.just("petersen"),
+    # random_connected samples until the graph is connected, which at
+    # small p takes seconds before it gives up; p >= 0.2 keeps it quick.
+    st.tuples(st.integers(1, 12), st.sampled_from([0.2, 0.5, 1.0])).map(
+        "random:{0[0]},{0[1]}".format
+    ),
+    st.integers(1, 12).map("tree:{}".format),
+)
+# Arbitrary text, with single-digit numbers and no random family, for the
+# reasons above.
+GEN_TEXT = st.one_of(
+    VALID_SPECS,
+    VALID_SPECS,
+    st.text(max_size=20).filter(lambda t: not re.search(r"\d\d", t) and "random" not in t),
+)
+
+
+@st.composite
+def valid_edge_list(draw):
+    """A graph on n <= 12 vertices, often connected, ids or letter labels."""
+    n = draw(st.integers(1, 12))
+    edges = [(i, i + 1) for i in range(n - 1)] if draw(st.booleans()) else []
+    vertex = st.integers(0, n - 1)
+    edges += draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]), max_size=10))
+    name = (lambda v: "abcdefghijkl"[v]) if draw(st.booleans()) else str
+    lines = [f"{name(u)} {name(v)}" for u, v in edges]
+    return "\n".join([f"{n} {len(lines)}", *lines]) + "\n"
+
+
+@st.composite
+def edge_list_text(draw):
+    """Edge-list-shaped text with bad counts, tokens and comments."""
+    token = st.sampled_from(["0", "1", "2", "3", "4", "7", "11", "12", "a", "b", "-1", "x y"])
+    n = draw(st.integers(0, 12))
+    edges = draw(st.lists(st.tuples(token, token), max_size=14))
+    m = draw(st.sampled_from([len(edges), len(edges), len(edges) + 1, 0]))
+    comment = st.sampled_from(["# center1=0", "# center2=1", "# seed=3", "# =a"])
+    comments = draw(st.lists(comment, max_size=2))
+    return "\n".join([*comments, f"{n} {m}", *(f"{u} {v}" for u, v in edges)]) + "\n"
+
+
+EDGE_TEXT = st.one_of(
+    valid_edge_list(),
+    valid_edge_list(),
+    edge_list_text(),
+    # No header above 99 vertices.
+    st.text(max_size=60).filter(lambda t: not re.search(r"\d\d\d", t)),
+)
+VERTEX = st.sampled_from(["0", "1", "2", "5", "11", "12", "-1", "a", "x", ""])
+FLAGS = {
+    "dem": {
+        "--method": st.sampled_from(["exact", "greedy", "both", "fast"]),
+        "--budget": st.sampled_from(["0", "1", "5", "200", "-5", "abc"]),
+    },
+    "em": {"--vertex": VERTEX},
+    "pset": {
+        "--monitors": st.sampled_from(["all", "0", "0,1", "0,2,4", "1,x", "99", "", " , "]),
+        "--edge": st.sampled_from(["0,1", "1,2", "3,4", "centers", "0", "a,b", "0,0", "1,2,3"]),
+    },
+    "verify": {"--monitors": st.sampled_from(["all", "0", "0,1", "0,2,4", "1,x", "99", ""])},
+    "bounds": {},
+    "char": {
+        "--target": st.sampled_from(["1", "2", "3", "2", "3", "0", "x"]),
+        "--tuple": st.sampled_from(["0,1", "0,2", "0,1,2", "1,3,5", "0,0", "a,b", "0", "0,1,2,3"]),
+    },
+}
+
+
+@st.composite
+def invocations(draw, path: str):
+    """(argv, edge-list text or None) for one CLI call reading `path`."""
+    cmd = draw(st.sampled_from([*FLAGS, "gen"]))
+    seed = ["--seed", draw(st.sampled_from(["0", "1", "7"]))] if draw(st.booleans()) else []
+    if cmd == "gen":
+        return ["gen", draw(GEN_TEXT), *seed], None
+    argv, text = [cmd], None
+    source = draw(st.sampled_from(["gen", "gen", "gen", "file", "file", "file", "both", "none"]))
+    if source in ("file", "both"):
+        text = draw(EDGE_TEXT)
+        argv.append(path)
+    if source in ("gen", "both"):
+        argv += ["--gen", draw(GEN_TEXT)]
+    argv += ["--format", draw(st.sampled_from(FORMATS))]
+    for flag, values in FLAGS[cmd].items():
+        # Usually given, so most calls get past argparse.
+        if draw(st.sampled_from([True] * 9 + [False])):
+            argv += [flag, draw(values)]
+    return argv + seed, text
+
+
+class TestFuzz:
+    @settings(
+        derandomize=True,
+        deadline=None,
+        max_examples=300,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_exit_codes_and_reports(self, tmp_path, data):
+        path = tmp_path / "g.el"
+        argv, text = data.draw(invocations(str(path)))
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage error, exit status 2
+                code = exc.code
+        assert code in (0, 2, 3, 4), (argv, text, err.getvalue())
+        if code in (2, 3):
+            assert out.getvalue() == "", argv
+        elif argv[0] == "gen":
+            parse_edgelist(out.getvalue())
+        elif argv[argv.index("--format") + 1] == "json":
+            validate_report(json.loads(out.getvalue()))

@@ -19,6 +19,8 @@ from demkit import (
     is_tree,
 )
 from demkit import generators as gen
+from demkit import graph as graph_mod
+from demkit.graph import component_sizes
 
 from oracles import count_components, naive_bridges, relaxation_distances
 
@@ -228,3 +230,19 @@ class TestPredicates:
     def test_components_oracle_agreement(self):
         g = build_graph(6, [(0, 1), (2, 3), (3, 4)])
         assert count_components(g) == 3
+
+    def test_disconnected_error_lists_component_sizes(self):
+        # Components met in the order 1, 2, 3 are reported largest first.
+        g = build_graph(6, [(1, 2), (3, 4), (4, 5)])
+        with pytest.raises(DisconnectedError) as exc:
+            base_graph(g)
+        assert "found 3 components of sizes [3, 2, 1]" in str(exc.value)
+
+    def test_component_sizes_is_one_sweep(self, monkeypatch):
+        # Every vertex is a source of one sweep, so the hint stays linear
+        # in n + m however many components there are.
+        calls = []
+        real = graph_mod._sweep
+        monkeypatch.setattr(graph_mod, "_sweep", lambda g, *s: calls.append(s) or real(g, *s))
+        assert component_sizes(build_graph(500, [(0, 1), (1, 2)])) == [3] + [1] * 497
+        assert len(calls) == 1

@@ -6,7 +6,9 @@ import pytest
 
 from demkit import (
     BadParameterError,
+    DisconnectedError,
     IsTreeError,
+    OutOfRangeError,
     TooLargeError,
     base_graph,
     bounds_report,
@@ -22,9 +24,13 @@ from demkit import (
     verify_em2_family_member,
 )
 from demkit import generators as gen
+from demkit import graph as graph_mod
+from demkit import monitor as monitor_mod
+from demkit import structural as structural_mod
 from demkit.structural import (
     DEM3_RULE_NAMES,
     clique_number,
+    dem2_first_pass,
     independence_number,
     minimum_vertex_cover_size,
     unique_parent_condition,
@@ -77,6 +83,49 @@ class TestLayerProfile:
             layer_profile(g, (0, 0))
         with pytest.raises(BadParameterError):
             layer_profile(g, (0,))
+
+
+# A triangle plus a disjoint edge: every cell check needs one BFS row per
+# source and must reject the graph before any rule runs.
+DISCONNECTED = build_graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+LAYER_MESSAGE = "layer profile requires a connected graph; found 2 components of sizes [3, 2]"
+CELL_CHECKS = {
+    "layer_profile": lambda g, x: layer_profile(g, (0, x)),
+    "dem2_pair_check": lambda g, x: dem2_pair_check(g, 0, x),
+    "dem3_triple_check": lambda g, x: dem3_triple_check(g, 0, 1, x),
+}
+
+
+class TestDistanceRows:
+    @pytest.mark.parametrize("check", list(CELL_CHECKS))
+    def test_disconnected(self, check):
+        with pytest.raises(DisconnectedError) as exc:
+            CELL_CHECKS[check](DISCONNECTED, 3)
+        assert str(exc.value) == LAYER_MESSAGE
+
+    def test_first_pass_disconnected(self):
+        with pytest.raises(DisconnectedError) as exc:
+            dem2_first_pass(DISCONNECTED)
+        assert str(exc.value) == LAYER_MESSAGE
+
+    @pytest.mark.parametrize("check", list(CELL_CHECKS))
+    def test_out_of_range(self, check):
+        # The range check comes first, also on a disconnected graph.
+        for g in (gen.cycle(5).graph, DISCONNECTED):
+            with pytest.raises(OutOfRangeError, match="vertex 5 outside 0..4"):
+                CELL_CHECKS[check](g, 5)
+
+    def test_first_pass_one_row_per_vertex(self, monkeypatch):
+        g = gen.petersen().graph
+        sweeps = []
+        for module in (graph_mod, monitor_mod, structural_mod):
+            real = module._sweep
+            monkeypatch.setattr(
+                module, "_sweep", lambda h, *s, real=real: sweeps.append(s) or real(h, *s)
+            )
+        dem2_first_pass(g)
+        assert all(len(s) == 1 for s in sweeps)
+        assert len(sweeps) <= g.n
 
 
 class TestDemIs2:
