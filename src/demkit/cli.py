@@ -239,13 +239,11 @@ def cmd_dem(args) -> int:
         runs[m] = dem_exact(g, budget=args.budget) if m == "exact" else dem_greedy(g)
     results = {m: res.to_json(label=loaded.label) for m, res in runs.items()}
     res = runs[methods[-1]]
-    _emit(
-        args,
-        loaded,
-        {"n": g.n, "m": g.m, "results": results},
-        monitors=res.monitor_set,
-        uncovered_edges=res.certificate.uncovered,
-    )
+    hints = {"monitors": res.monitor_set}
+    if args.format == "dot":
+        # Only dot reads the certificate, which is built on first access.
+        hints["uncovered_edges"] = res.certificate.uncovered
+    _emit(args, loaded, {"n": g.n, "m": g.m, "results": results}, **hints)
     return 4 if any(r.stats.get("budget_exhausted") for r in runs.values()) else 0
 
 

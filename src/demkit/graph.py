@@ -239,11 +239,16 @@ def component_sizes(g: Graph) -> list[int]:
 
 
 def require_connected(g: Graph, what: str = "operation") -> None:
-    """Raise DisconnectedError with a per-component hint when g is disconnected."""
+    """Raise DisconnectedError with a per-component hint when g is disconnected.
+
+    The hint lists the 10 largest component sizes, then "..." if there are
+    more, so the message stays short however many components there are.
+    """
     if not is_connected(g):
         sizes = component_sizes(g)
+        shown = ", ".join(map(str, sizes[:10])) + (", ..." if len(sizes) > 10 else "")
         raise DisconnectedError(
-            f"{what} requires a connected graph; found {len(sizes)} components of sizes {sizes}"
+            f"{what} requires a connected graph; found {len(sizes)} components of sizes [{shown}]"
         )
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from time import perf_counter
 
@@ -32,15 +33,21 @@ class DemResult:
     """Outcome of a dem computation.
 
     exact is True only when the value is provably minimum; a greedy run or
-    a budget-exhausted exact run reports exact=False.
+    a budget-exhausted exact run reports exact=False.  graph is the input
+    graph, kept for the certificate.
     """
 
     value: int
     monitor_set: tuple
-    certificate: MonitoringCertificate
     method: str
     exact: bool
+    graph: Graph = field(repr=False, compare=False)
     stats: dict = field(default_factory=dict)
+
+    @cached_property
+    def certificate(self) -> MonitoringCertificate:
+        """is_monitoring_set of monitor_set on graph, built on first access."""
+        return is_monitoring_set(self.graph, self.monitor_set)
 
     def to_json(self, label=lambda v: v) -> dict:
         """The report body; wall time stays out so reports are reproducible."""
@@ -275,15 +282,22 @@ def _cover_instance(g: Graph) -> tuple:
     return classes, buckets, _transpose(classes, g.n), (1 << len(classes)) - 1
 
 
-def _certified(g: Graph, ms: tuple, method: str, exact: bool, nodes: int, t0: float) -> DemResult:
-    """The DemResult for the monitoring set ms of g, with its certificate
-    and the time since t0.  An exact-method result that is not exact ran
-    out of budget."""
-    cert = is_monitoring_set(g, ms)
+def _check_cover(masks: list, full: int, cover) -> None:
+    """Raise AssertionError unless the sets of cover OR to full."""
+    covered = 0
+    for v in cover:
+        covered |= masks[v]
+    if covered != full:
+        raise AssertionError("the chosen monitors leave an edge class uncovered")
+
+
+def _result(g: Graph, ms: tuple, method: str, exact: bool, nodes: int, t0: float) -> DemResult:
+    """The DemResult for the monitoring set ms of g, with the time since t0.
+    An exact-method result that is not exact ran out of budget."""
     stats = {"nodes": nodes, "millis": (perf_counter() - t0) * 1000.0}
     if method == "exact" and not exact:
         stats["budget_exhausted"] = True
-    return DemResult(len(ms), ms, cert, method, exact, stats)
+    return DemResult(len(ms), ms, method, exact, g, stats)
 
 
 def dem_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> DemResult:
@@ -302,7 +316,7 @@ def dem_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> DemResult:
     t0 = perf_counter()
     base = base_graph(g)
     if base.was_tree:
-        return _certified(g, (0,), "exact", True, 0, t0)
+        return _result(g, (0,), "exact", True, 0, t0)
     classes, buckets, masks, full = _cover_instance(base.graph)
     incumbent = _greedy_cover(masks, full, buckets)
     covers, nodes, exact = _cover_search(classes, incumbent, budget)
@@ -311,8 +325,9 @@ def dem_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> DemResult:
         # Polishing every cover, not only the last, keeps a larger budget
         # from ending on a worse result.
         best = min((_improve_cover(masks, classes, full, c) for c in covers), key=len)
+    _check_cover(masks, full, best)
     monitor_set = tuple(sorted(base.new_to_old[v] for v in best))
-    return _certified(g, monitor_set, "exact", exact, nodes, t0)
+    return _result(g, monitor_set, "exact", exact, nodes, t0)
 
 
 def dem_greedy(g: Graph) -> DemResult:
@@ -324,8 +339,9 @@ def dem_greedy(g: Graph) -> DemResult:
     require_connected(g, "dem")
     t0 = perf_counter()
     _, buckets, masks, full = _cover_instance(g)
-    chosen = tuple(sorted(_greedy_cover(masks, full, buckets)))
-    return _certified(g, chosen, "greedy", False, 0, t0)
+    chosen = _greedy_cover(masks, full, buckets)
+    _check_cover(masks, full, chosen)
+    return _result(g, tuple(sorted(chosen)), "greedy", False, 0, t0)
 
 
 def verify_dem_result(g: Graph, result: DemResult) -> bool:

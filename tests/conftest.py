@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import pytest
 
-from demkit import Graph, build_graph, is_tree
+from demkit import Graph, build_graph, is_tree, solvers
 from demkit import generators as gen
 
 
@@ -121,3 +121,13 @@ def solver_corpus():
 @pytest.fixture(scope="session")
 def family_corpus():
     return family_graphs(max_n=16)
+
+
+@pytest.fixture
+def certificate_calls(monkeypatch):
+    """The monitor sets of each is_monitoring_set call made through
+    demkit.solvers, which builds DemResult.certificate."""
+    calls = []
+    real = solvers.is_monitoring_set
+    monkeypatch.setattr(solvers, "is_monitoring_set", lambda g, ms: calls.append(ms) or real(g, ms))
+    return calls

@@ -73,6 +73,24 @@ class TestDemCommand:
         _, payload = run_json(capsys, "dem", "--gen", "cycle:5")
         assert "millis" not in payload["results"]["exact"]["stats"]
 
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_certificate_read_only_for_dot(self, capsys, certificate_calls, fmt):
+        code, _ = run_cli(capsys, "dem", "--gen", "grid:4,4", "--method", "both", "--format", fmt)
+        assert code == 0
+        assert len(certificate_calls) == (fmt == "dot")
+
+    @pytest.mark.parametrize(
+        "spec, digest",
+        [
+            ("grid:4,4", "0a5a3607104cf44e23bff69fe574c62ab9fe1ff5b349755c30dbab8f2a6188db"),
+            ("petersen", "05d55143c305b64e558ff853f8da6378437ddb78bb8ba23d2a0c8a7be1b31147"),
+        ],
+    )
+    def test_dot_golden(self, capsys, spec, digest):
+        code, out = run_cli(capsys, "dem", "--gen", spec, "--format", "dot")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestOtherCommands:
     def test_em_cycle(self, capsys):

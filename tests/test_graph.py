@@ -238,6 +238,15 @@ class TestPredicates:
             base_graph(g)
         assert "found 3 components of sizes [3, 2, 1]" in str(exc.value)
 
+    def test_disconnected_error_lists_ten_largest_sizes(self):
+        g = build_graph(14, [(0, 1), (1, 2), (3, 4)])
+        with pytest.raises(DisconnectedError) as exc:
+            base_graph(g)
+        assert "found 11 components of sizes [3, 2, 1, 1, 1, 1, 1, 1, 1, 1, ...]" in str(exc.value)
+        with pytest.raises(DisconnectedError) as exc:
+            base_graph(graph_mod.Graph(10**5))
+        assert len(str(exc.value)) < 300
+
     def test_component_sizes_is_one_sweep(self, monkeypatch):
         # Every vertex is a source of one sweep, so the hint stays linear
         # in n + m however many components there are.

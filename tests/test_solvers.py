@@ -15,6 +15,7 @@ from demkit import (
     verify_dem_result,
 )
 from demkit import generators as gen
+from demkit import solvers
 from demkit.monitor import _em_holders
 from demkit.solvers import (
     _cover_instance,
@@ -465,3 +466,42 @@ class TestVerifyDemResult:
         assert set(js) == {"value", "monitor_set", "exact", "method", "stats"}
         assert "millis" in res.stats
         assert "millis" not in js["stats"]
+
+
+class TestLazyCertificate:
+    def test_solvers_build_no_certificate(self, certificate_calls):
+        for g in (gen.grid(4, 4).graph, gen.petersen().graph, gen.random_tree(9, seed=2)):
+            dem_exact(g)
+            dem_greedy(g)
+        dem_exact(gen.complete(8).graph, budget=1)
+        assert certificate_calls == []
+
+    def test_certificate_built_once_on_first_access(self, certificate_calls):
+        g = gen.grid(4, 4).graph
+        res = dem_exact(g)
+        cert = res.certificate
+        assert certificate_calls == [res.monitor_set]
+        assert res.certificate is cert
+        assert len(certificate_calls) == 1
+        assert cert == is_monitoring_set(g, res.monitor_set)
+
+    def test_graph_stays_out_of_repr(self):
+        g = gen.cycle(5).graph
+        res = dem_exact(g)
+        assert "graph" not in repr(res)
+        assert res.graph is g
+
+    def test_exact_rejects_a_non_cover(self, monkeypatch):
+        # A search that returns the greedy incumbent minus its last set
+        # returns no cover: the greedy set added last covered something new.
+        monkeypatch.setattr(
+            solvers, "_cover_search", lambda holders, inc, budget: ([tuple(inc[:-1])], 0, True)
+        )
+        with pytest.raises(AssertionError, match="uncovered"):
+            dem_exact(gen.grid(4, 4).graph)
+
+    def test_greedy_rejects_a_non_cover(self, monkeypatch):
+        real = solvers._greedy_cover
+        monkeypatch.setattr(solvers, "_greedy_cover", lambda *a: real(*a)[:-1])
+        with pytest.raises(AssertionError, match="uncovered"):
+            dem_greedy(gen.petersen().graph)
