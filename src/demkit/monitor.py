@@ -11,11 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    EdgeNotPresentError,
-    NotZeroError,
-    PathOverflowError,
-)
+from .errors import EdgeNotPresentError, NotZeroError
 from .graph import _MANY, Graph, _bfs, _check_vertex, _sweep, canonical_edge, require_connected
 
 
@@ -99,59 +95,83 @@ def em_set(g: Graph, x: int) -> EmSet:
 def _em_holders(g: Graph) -> list:
     """For the i-th edge of g.edges(), the bitmask of the x with it in EM(x).
 
-    em_set's unique-parent rule for every source at once: a multi-source
-    BFS, level by level, with one bit per source.  At level k, front[v]
+    em_set's unique-parent rule for every source at once, with one bit per
+    source, in two passes.
+
+    Pass 1 is a multi-source BFS, level by level.  At level k, front[v]
     holds the sources at distance exactly k from v and unseen[v] those
-    farther away.  A source new to v at level k + 1 lies in the front of
-    one or of several neighbours of v; where it is one neighbour w, that
-    neighbour is v's only parent, and the source monitors the edge (v, w).
-    A vertex with no unseen source left drops out of the scan.  In a
-    connected graph every remaining vertex meets new sources at every
-    level (the vertices of a shortest path to an unseen source lie at every
-    distance), so a vertex that meets none means the graph is disconnected,
-    and the scan stops there.
+    farther away; the sources new to v at level k go into r0[v] or r1[v]
+    when k mod 3 is 0 or 1, and r2[v] is what those two leave.  A vertex
+    with no unseen source left drops out of the scan.  In a connected graph
+    every remaining vertex meets new sources at every level (the vertices
+    of a shortest path to an unseen source lie at every distance), so a
+    vertex that meets none means the graph is disconnected, and the scan
+    stops there.
+
+    Pass 2 reads the holders off the residues.  Seen from any source, the
+    two ends of an edge lie at most one level apart, so distances mod 3
+    tell which end is closer: closer(v, w) = (r0[w] & r1[v]) |
+    (r1[w] & r2[v]) | (r2[w] & r0[v]) holds the sources x with
+    d(x, w) = d(x, v) - 1, for which w is a parent of v.  uniq[v] holds
+    the sources for which v has exactly one parent, and x monitors the
+    edge (v, w) exactly when x is in closer(v, w) & uniq[v] or in
+    closer(w, v) & uniq[w].  Each vertex keeps ui = ri & uniq, so that
+    closer(v, w) & uniq[v] = (r0[w] & u1[v]) | (r1[w] & u2[v]) |
+    (r2[w] & u0[v]).
     """
     n = g.n
     adj = g._adj
-    # nbrs[v]: (w, index of the edge (v, w) in g.edges()) per neighbour w.
-    nbrs: list = [[] for _ in range(n)]
-    m = 0
-    for u in range(n):
-        for v in adj[u]:
-            if v > u:
-                nbrs[u].append((v, m))
-                nbrs[v].append((u, m))
-                m += 1
-    holders = [0] * m
-    front = [1 << v for v in range(n)]
     full = (1 << n) - 1
+    front = [1 << v for v in range(n)]
     unseen = [full ^ f for f in front]
+    r0 = front[:]
+    r1 = [0] * n
+    residue = (r0, r1, None)
     active = list(range(n))
+    level = 0
     while active:
+        level += 1
+        r = residue[level % 3]
         nxt = [0] * n
         still = []
         for v in active:
-            once = twice = 0
+            once = 0
             for w in adj[v]:
-                f = front[w]
-                twice |= once & f
-                once |= f
+                once |= front[w]
             new = once & unseen[v]
             if not new:
                 require_connected(g, "EM sets")
             nxt[v] = new
-            uniq = new & ~twice
-            if uniq:
-                for w, e in nbrs[v]:
-                    h = front[w] & uniq
-                    if h:
-                        holders[e] |= h
+            if r is not None:
+                r[v] |= new
             rest = unseen[v] ^ new
             unseen[v] = rest
             if rest:
                 still.append(v)
         front = nxt
         active = still
+    front = nxt = unseen = None
+    r2 = [full ^ a ^ b for a, b in zip(r0, r1)]
+    # kept[v]: (r0, r1, r2, u0, u1, u2) of v.
+    kept = []
+    for v in range(n):
+        a0, a1, a2 = r0[v], r1[v], r2[v]
+        once = twice = 0
+        for w in adj[v]:
+            c = (r0[w] & a1) | (r1[w] & a2) | (r2[w] & a0)
+            twice |= once & c
+            once |= c
+        uniq = once & ~twice
+        kept.append((a0, a1, a2, a0 & uniq, a1 & uniq, a2 & uniq))
+    holders = []
+    for v in range(n):
+        a0, a1, a2, u0, u1, u2 = kept[v]
+        for w in adj[v]:
+            if w > v:
+                b0, b1, b2, t0, t1, t2 = kept[w]
+                holders.append(
+                    (b0 & u1) | (b1 & u2) | (b2 & u0) | (a0 & t1) | (a1 & t2) | (a2 & t0)
+                )
     return holders
 
 
@@ -305,69 +325,3 @@ def p_set_size_zero_reason(g: Graph, monitors, e: tuple) -> PairSetZeroReason:
                 raise AssertionError("empty pair set but far endpoint distance changed")
             per_vertex[x] = "detour_preserves_distance"
     return PairSetZeroReason(empty_monitor_set=False, per_vertex=per_vertex)
-
-
-_PATH_CAP = 100_000  # most shortest paths enumerate_shortest_paths returns
-
-
-def enumerate_shortest_paths(g: Graph, x: int, y: int) -> list:
-    """All shortest x-y paths as vertex tuples; PathOverflowError beyond _PATH_CAP.
-
-    Desk-scale oracle machinery: backtracks from y through BFS predecessors.
-    """
-    _check_vertex(g, x)
-    _check_vertex(g, y)
-    dist = _bfs(g, x)
-    if dist[y] < 0:
-        return []
-    paths: list = []
-    stack: list = [(y, (y,))]
-    while stack:
-        u, suffix = stack.pop()
-        if u == x:
-            paths.append(suffix)
-            if len(paths) > _PATH_CAP:
-                raise PathOverflowError(f"more than {_PATH_CAP} shortest paths between {x} and {y}")
-            continue
-        for w in g._adj[u]:
-            if dist[w] == dist[u] - 1:
-                stack.append((w, (w,) + suffix))
-    return paths
-
-
-def _path_edges(path) -> frozenset:
-    return frozenset(canonical_edge(path[i], path[i + 1]) for i in range(len(path) - 1))
-
-
-def has_two_nearly_disjoint_shortest_paths(g: Graph, x: int, y: int) -> bool:
-    """True when two shortest x-y paths share at most their initial edge at x.
-
-    A shared edge away from x would stay vulnerable: deleting it changes
-    d(x, y) even though two paths existed.  Sharing the first edge is
-    harmless because edges at x are always monitored by x anyway.
-    """
-    paths = enumerate_shortest_paths(g, x, y)
-    edge_sets = [_path_edges(p) for p in paths]
-    for i in range(len(edge_sets)):
-        for j in range(i + 1, len(edge_sets)):
-            shared = edge_sets[i] & edge_sets[j]
-            if all(x in e for e in shared):
-                return True
-    return False
-
-
-def em_incident_only_condition(g: Graph, x: int) -> bool:
-    """The route-redundancy condition equivalent to EM(x) = edges at x.
-
-    Holds when every vertex outside the closed neighborhood of x is reached
-    by two shortest paths that share no edge beyond possibly the one at x.
-    """
-    _check_vertex(g, x)
-    require_connected(g, "incident-only condition")
-    closed = set(g.neighbors(x)) | {x}
-    for y in range(g.n):
-        if y in closed:
-            continue
-        if not has_two_nearly_disjoint_shortest_paths(g, x, y):
-            return False
-    return True

@@ -160,10 +160,7 @@ def _cover_search(holders: list, incumbent: list, budget: int) -> tuple:
     """
     n = max(map(int.bit_length, holders))
     classes = sorted(set(holders), key=lambda h: (h.bit_count(), h), reverse=True)
-    sets = [0] * n
-    for e, h in enumerate(classes):
-        for v in _bits(h):
-            sets[v] |= 1 << e
+    sets = _transpose(classes, n)
     full = (1 << len(classes)) - 1
     # Only elements with a set of index >= idx are read from keep[idx]: the
     # suffix_or test prunes a node before its packing sees any other.

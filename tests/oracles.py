@@ -5,17 +5,18 @@ point is a second, slower route to the same quantity.  Distances come from
 repeated edge relaxation rather than BFS, connectivity from union-find,
 monitored-set minima from subset enumeration over naively recomputed EM
 sets, certificate witnesses from a BFS on G-e for every monitor and edge.
-The set-cover search and the greedy cover are checked against frozen
-copies of their earlier, plainer loops over one element per edge, and the
-search's value against a MILP solved by scipy.
+The set-cover search, the greedy cover and the all-sources EM holders are
+checked against frozen copies of their earlier, plainer loops, and the
+search's value against a MILP solved by scipy.  The shortest-path
+enumerators check the paper's incident-only condition on EM sets.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from demkit import em_set_naive, is_monitoring_set
-from demkit.graph import Graph, _bfs, canonical_edge
+from demkit import PathOverflowError, em_set_naive, is_monitoring_set
+from demkit.graph import Graph, _bfs, _check_vertex, canonical_edge, require_connected
 from demkit.monitor import MonitoringCertificate
 
 
@@ -282,6 +283,128 @@ def cover_search_reference(holders: list, incumbent: list, budget: int) -> tuple
         stack.append((idx + 1, covered, chosen))
         stack.append((idx + 1, covered | sets[idx], chosen + (idx,)))
     return covers, nodes, True
+
+
+def em_holders_reference(g: Graph) -> list:
+    """``monitor._em_holders`` as first written: attribution level by level.
+
+    A multi-source BFS with one bit per source.  At level k, front[v] holds
+    the sources at distance exactly k from v and unseen[v] those farther
+    away.  A source new to v at level k + 1 lies in the front of one or of
+    several neighbours of v; where it is one neighbour w, that neighbour is
+    v's only parent, and the source monitors the edge (v, w).  A vertex
+    that meets no new source while some are unseen means the graph is
+    disconnected.  The fast routine must return the same list on every
+    input and raise on the same ones.
+    """
+    n = g.n
+    adj = g._adj
+    # nbrs[v]: (w, index of the edge (v, w) in g.edges()) per neighbour w.
+    nbrs: list = [[] for _ in range(n)]
+    m = 0
+    for u in range(n):
+        for v in adj[u]:
+            if v > u:
+                nbrs[u].append((v, m))
+                nbrs[v].append((u, m))
+                m += 1
+    holders = [0] * m
+    front = [1 << v for v in range(n)]
+    full = (1 << n) - 1
+    unseen = [full ^ f for f in front]
+    active = list(range(n))
+    while active:
+        nxt = [0] * n
+        still = []
+        for v in active:
+            once = twice = 0
+            for w in adj[v]:
+                f = front[w]
+                twice |= once & f
+                once |= f
+            new = once & unseen[v]
+            if not new:
+                require_connected(g, "EM sets")
+            nxt[v] = new
+            uniq = new & ~twice
+            if uniq:
+                for w, e in nbrs[v]:
+                    h = front[w] & uniq
+                    if h:
+                        holders[e] |= h
+            rest = unseen[v] ^ new
+            unseen[v] = rest
+            if rest:
+                still.append(v)
+        front = nxt
+        active = still
+    return holders
+
+
+_PATH_CAP = 100_000  # most shortest paths enumerate_shortest_paths returns
+
+
+def enumerate_shortest_paths(g: Graph, x: int, y: int) -> list:
+    """All shortest x-y paths as vertex tuples; PathOverflowError beyond _PATH_CAP.
+
+    Backtracks from y through BFS predecessors.
+    """
+    _check_vertex(g, x)
+    _check_vertex(g, y)
+    dist = _bfs(g, x)
+    if dist[y] < 0:
+        return []
+    paths: list = []
+    stack: list = [(y, (y,))]
+    while stack:
+        u, suffix = stack.pop()
+        if u == x:
+            paths.append(suffix)
+            if len(paths) > _PATH_CAP:
+                raise PathOverflowError(f"more than {_PATH_CAP} shortest paths between {x} and {y}")
+            continue
+        for w in g._adj[u]:
+            if dist[w] == dist[u] - 1:
+                stack.append((w, (w,) + suffix))
+    return paths
+
+
+def _path_edges(path) -> frozenset:
+    return frozenset(canonical_edge(path[i], path[i + 1]) for i in range(len(path) - 1))
+
+
+def has_two_nearly_disjoint_shortest_paths(g: Graph, x: int, y: int) -> bool:
+    """True when two shortest x-y paths share at most their initial edge at x.
+
+    A shared edge away from x would stay vulnerable: deleting it changes
+    d(x, y) even though two paths existed.  Sharing the first edge is
+    harmless because edges at x are always monitored by x anyway.
+    """
+    paths = enumerate_shortest_paths(g, x, y)
+    edge_sets = [_path_edges(p) for p in paths]
+    for i in range(len(edge_sets)):
+        for j in range(i + 1, len(edge_sets)):
+            shared = edge_sets[i] & edge_sets[j]
+            if all(x in e for e in shared):
+                return True
+    return False
+
+
+def em_incident_only_condition(g: Graph, x: int) -> bool:
+    """The route-redundancy condition equivalent to EM(x) = edges at x.
+
+    Holds when every vertex outside the closed neighborhood of x is reached
+    by two shortest paths that share no edge beyond possibly the one at x.
+    """
+    _check_vertex(g, x)
+    require_connected(g, "incident-only condition")
+    closed = set(g.neighbors(x)) | {x}
+    for y in range(g.n):
+        if y in closed:
+            continue
+        if not has_two_nearly_disjoint_shortest_paths(g, x, y):
+            return False
+    return True
 
 
 def milp_dem(g: Graph) -> int:

@@ -17,16 +17,19 @@ from demkit import (
     p_set_size_zero_reason,
 )
 from demkit import generators as gen
-from demkit.graph import _bfs, canonical_edge, degree_extremes
-from demkit.monitor import (
-    _em_holders,
+from demkit.graph import _bfs, base_graph, bfs_distances, canonical_edge, degree_extremes
+from demkit.monitor import _em_holders
+
+from conftest import family_graphs, random_connected_graphs
+from oracles import (
+    certificate_naive,
+    cycle_exclusion_applies,
+    em_holders_reference,
     em_incident_only_condition,
     enumerate_shortest_paths,
     has_two_nearly_disjoint_shortest_paths,
+    is_forest,
 )
-
-from conftest import family_graphs, random_connected_graphs
-from oracles import certificate_naive, cycle_exclusion_applies, is_forest
 
 
 def connected_graph_strategy(min_n=2, max_n=9):
@@ -95,17 +98,73 @@ def holder_em_sets(g):
     return [{e for e, h in zip(edges, holders) if h >> x & 1} for x in range(g.n)]
 
 
+def holder_corpus():
+    graphs = random_connected_graphs(150, 2, 45, seed=303, p_lo=0.05, p_hi=0.8)
+    graphs += [gen.complete(n).graph for n in (2, 3, 7, 16)]
+    graphs += [gen.hypercube(d).graph for d in range(1, 7)]
+    graphs += [gen.petersen().graph]
+    graphs += [gen.cycle(n).graph for n in (3, 4, 5, 17, 64, 255, 400)]
+    graphs += [gen.grid(p, q).graph for p, q in ((2, 2), (2, 9), (5, 5), (4, 11), (12, 12))]
+    graphs += [gen.random_tree(n, seed=n) for n in (2, 9, 40)]
+    return graphs
+
+
+def grid_with_chord(p, q, r, c):
+    """The p x q grid plus the diagonal from (r, c) to (r + 1, c + 1)."""
+    g = gen.grid(p, q).graph
+    return build_graph(g.n, list(g.edges()) + [(r * q + c, (r + 1) * q + c + 1)])
+
+
+def tree_with_chords(n, chords, seed):
+    """random_tree(n, seed) plus `chords` random extra edges."""
+    rng = random.Random(seed)
+    edges = list(gen.random_tree(n, seed).edges())
+    edges += [tuple(rng.sample(range(n), 2)) for _ in range(chords)]
+    return build_graph(n, edges)
+
+
 class TestEmHolders:
     def test_matches_em_set(self):
-        graphs = random_connected_graphs(150, 2, 45, seed=303, p_lo=0.05, p_hi=0.8)
-        graphs += [gen.complete(n).graph for n in (2, 3, 7, 16)]
-        graphs += [gen.hypercube(d).graph for d in range(1, 7)]
-        graphs += [gen.petersen().graph]
-        graphs += [gen.cycle(n).graph for n in (3, 4, 5, 17, 64, 255, 400)]
-        graphs += [gen.grid(p, q).graph for p, q in ((2, 2), (2, 9), (5, 5), (4, 11), (12, 12))]
-        graphs += [gen.random_tree(n, seed=n) for n in (2, 9, 40)]
-        for g in graphs:
+        for g in holder_corpus():
             assert holder_em_sets(g) == [em_set(g, x).edges for x in range(g.n)], g
+
+    def test_matches_reference(self):
+        for g in holder_corpus() + [build_graph(1, [])]:
+            assert _em_holders(g) == em_holders_reference(g), g
+
+    @pytest.mark.parametrize("n", [101, 401])
+    def test_odd_cycle_matches_reference(self, n):
+        # Not bipartite: both ends of the antipodal edge lie at the same
+        # distance, and the levels wrap mod 3 many times.
+        g = gen.cycle(n).graph
+        assert _em_holders(g) == em_holders_reference(g)
+
+    @pytest.mark.parametrize("p", [20, 35])
+    def test_grid_matches_reference(self, p):
+        g = gen.grid(p, p).graph
+        assert _em_holders(g) == em_holders_reference(g)
+
+    def test_grid_with_chord_matches_reference(self):
+        g = grid_with_chord(12, 12, 3, 4)
+        assert _em_holders(g) == em_holders_reference(g)
+
+    def test_tree_with_chords_matches_reference(self):
+        g = tree_with_chords(300, 20, seed=300)
+        assert base_graph(g).graph.n > 40
+        assert _em_holders(g) == em_holders_reference(g)
+
+    @pytest.mark.parametrize(
+        "n,p,seed", [(60, 0.05, 2), (80, 0.04, 0), (100, 0.035, 1), (120, 0.03, 5), (150, 0.025, 0)]
+    )
+    def test_sparse_random_matches_reference(self, n, p, seed):
+        g = gen.random_connected(n, p, seed)
+        assert max(bfs_distances(g, x).eccentricity() for x in range(g.n)) >= 7
+        assert _em_holders(g) == em_holders_reference(g)
+
+    @settings(max_examples=80, deadline=None)
+    @given(connected_graph_strategy(min_n=1, max_n=30))
+    def test_matches_reference_property(self, g):
+        assert _em_holders(g) == em_holders_reference(g)
 
     @settings(max_examples=80, deadline=None)
     @given(connected_graph_strategy(min_n=2, max_n=30))
@@ -132,6 +191,18 @@ class TestEmHolders:
     def test_disconnected_rejected(self, n, edges):
         with pytest.raises(DisconnectedError):
             _em_holders(build_graph(n, edges))
+
+    def test_disconnected_far_levels_rejected(self):
+        # A 10-cycle and a 6-path: each has diameter 5, so every vertex
+        # still meets new sources for several levels before the scan
+        # finds the other component missing.
+        edges = [(i, (i + 1) % 10) for i in range(10)]
+        edges += [(10 + i, 11 + i) for i in range(5)]
+        g = build_graph(16, edges)
+        with pytest.raises(DisconnectedError):
+            em_holders_reference(g)
+        with pytest.raises(DisconnectedError):
+            _em_holders(g)
 
 
 class TestEmSetInvariants:
