@@ -48,6 +48,14 @@ def canonical_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def _bits(x: int):
+    """Indices of the set bits of x, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
 def _check_vertex(g: "Graph", x: int) -> None:
     if not (0 <= x < g.n):
         raise OutOfRangeError(f"vertex {x} outside 0..{g.n - 1}")

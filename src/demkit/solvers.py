@@ -22,7 +22,7 @@ from itertools import combinations
 from time import perf_counter
 
 from .errors import BadParameterError
-from .graph import Graph, _bfs, base_graph, canonical_edge, require_connected
+from .graph import Graph, _bfs, _bits, base_graph, canonical_edge, require_connected
 from .monitor import MonitoringCertificate, _em_holders, em_set_naive, is_monitoring_set
 
 DEFAULT_BUDGET = 10_000_000
@@ -110,14 +110,6 @@ def _greedy_cover(masks: list, full: int, buckets: list) -> list:
         chosen.append(best_v)
         covered |= masks[best_v]
     return chosen
-
-
-def _bits(x: int):
-    """Indices of the set bits of x, lowest first."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
 
 
 def _cover_search(holders: list, incumbent: list, budget: int) -> tuple:
@@ -360,13 +352,12 @@ def verify_dem_result(g: Graph, result: DemResult) -> bool:
         return False
     if result.certificate.uncovered:
         return False
-    monitor_lookup = set(ms)
+    before = {x: _bfs(g, x) for x in ms}
     for e, (x, y) in result.certificate.witnesses.items():
-        if x not in monitor_lookup:
+        if x not in before:
             return False
-        before = _bfs(g, x)
         after = _bfs(g, x, skip=canonical_edge(*e))
-        if before[y] == after[y]:
+        if before[x][y] == after[y]:
             return False
     if result.method == "exact" and result.exact and result.value > 1:
         gb = base_graph(g).graph

@@ -26,6 +26,7 @@ from .errors import (
 from .graph import (
     _MANY,
     Graph,
+    _bits,
     _check_vertex,
     _sweep,
     base_graph,
@@ -473,93 +474,70 @@ CLIQUE_GUARD = 64
 VERTEX_COVER_GUARD = 40
 
 
-def clique_number(g: Graph) -> int:
-    """Size of a largest clique, by pivoting Bron-Kerbosch (guarded to n<=64)."""
-    if g.n > CLIQUE_GUARD:
-        raise TooLargeError(f"clique enumeration guarded to n <= {CLIQUE_GUARD}")
-    if g.n == 0:
-        return 0
-    adj = [0] * g.n
-    for u, v in g.edges():
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+def _independence(adj: list) -> int:
+    """Size of a largest independent set of the graph where adj[v] is the
+    neighbour mask of vertex v, by branch and bound over masks of live
+    vertices.
+
+    A live vertex with at most one live neighbour lies in a largest
+    independent set of the live graph, so it is taken without branching.
+    Otherwise the search takes, then drops, a vertex of highest live degree,
+    and prunes a node once taking every live vertex could not beat the best
+    set found.  Each call removes a vertex, so recursion is at most n deep.
+    """
     best = 0
 
-    def expand(r_size: int, p: int, x: int):
+    def grow(live: int, size: int) -> None:
         nonlocal best
-        if p == 0 and x == 0:
-            best = max(best, r_size)
+        while True:
+            top = pivot = -1
+            for v in _bits(live):
+                d = (adj[v] & live).bit_count()
+                if d <= 1:
+                    break
+                if d > top:
+                    top, pivot = d, v
+            else:
+                break
+            live &= ~(adj[v] | 1 << v)
+            size += 1
+        if size + live.bit_count() <= best:
             return
-        if r_size + p.bit_count() <= best:
+        if not live:
+            best = size
             return
-        pivot_pool = p | x
-        pivot = (pivot_pool & -pivot_pool).bit_length() - 1
-        best_cover = -1
-        pool = pivot_pool
-        while pool:
-            low = pool & -pool
-            cand = low.bit_length() - 1
-            cover = (p & adj[cand]).bit_count()
-            if cover > best_cover:
-                best_cover = cover
-                pivot = cand
-            pool ^= low
-        ext = p & ~adj[pivot]
-        while ext:
-            low = ext & -ext
-            v = low.bit_length() - 1
-            expand(r_size + 1, p & adj[v], x & adj[v])
-            p &= ~low
-            x |= low
-            ext ^= low
+        grow(live & ~(adj[pivot] | 1 << pivot), size + 1)
+        grow(live & ~(1 << pivot), size)
 
-    expand(0, (1 << g.n) - 1, 0)
+    grow((1 << len(adj)) - 1, 0)
     return best
 
 
-def minimum_vertex_cover_size(g: Graph) -> int:
-    """Exact vertex cover number via degree branching (guarded to n<=40)."""
-    if g.n > VERTEX_COVER_GUARD:
-        raise TooLargeError(f"vertex cover solver guarded to n <= {VERTEX_COVER_GUARD}")
-    edges = frozenset(g.edges())
+def _adjacency(g: Graph) -> list:
+    return [sum(1 << w for w in g.neighbors(v)) for v in range(g.n)]
 
-    def matching_lb(es) -> int:
-        used: set = set()
-        count = 0
-        for u, v in sorted(es):
-            if u not in used and v not in used:
-                used.add(u)
-                used.add(v)
-                count += 1
-        return count
 
-    best = g.n
-
-    def rec(es: frozenset, size: int):
-        nonlocal best
-        if not es:
-            best = min(best, size)
-            return
-        if size + matching_lb(es) >= best:
-            return
-        deg: dict = {}
-        for u, v in es:
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-        v = max(sorted(deg), key=lambda w: deg[w])
-        rec(frozenset(e for e in es if v not in e), size + 1)
-        nbrs = {b if a == v else a for a, b in es if v in (a, b)}
-        rec(
-            frozenset(e for e in es if not (e[0] in nbrs or e[1] in nbrs)),
-            size + len(nbrs),
-        )
-
-    rec(edges, 0)
-    return best
+def clique_number(g: Graph) -> int:
+    """Size of a largest clique: the independence number of the complement,
+    by the search behind `independence_number`.  Guarded to n <= CLIQUE_GUARD."""
+    if g.n > CLIQUE_GUARD:
+        raise TooLargeError(f"clique search guarded to n <= {CLIQUE_GUARD}")
+    full = (1 << g.n) - 1
+    return _independence([full ^ m ^ (1 << v) for v, m in enumerate(_adjacency(g))])
 
 
 def independence_number(g: Graph) -> int:
-    return g.n - minimum_vertex_cover_size(g)
+    """Size of a largest independent set, by branch and bound on g's
+    adjacency masks.  Guarded to n <= VERTEX_COVER_GUARD."""
+    if g.n > VERTEX_COVER_GUARD:
+        raise TooLargeError(f"independent set search guarded to n <= {VERTEX_COVER_GUARD}")
+    return _independence(_adjacency(g))
+
+
+def minimum_vertex_cover_size(g: Graph) -> int:
+    """Vertex cover number beta = n - alpha: a set is a vertex cover exactly
+    when its complement is independent.  Guarded to n <= VERTEX_COVER_GUARD."""
+    return g.n - independence_number(g)
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,10 @@ point is a second, slower route to the same quantity.  Distances come from
 repeated edge relaxation rather than BFS, connectivity from union-find,
 monitored-set minima from subset enumeration over naively recomputed EM
 sets, certificate witnesses from a BFS on G-e for every monitor and edge.
-The set-cover search, the greedy cover and the all-sources EM holders are
-checked against frozen copies of their earlier, plainer loops, and the
-search's value against a MILP solved by scipy.  The shortest-path
+The set-cover search, the greedy cover, the all-sources EM holders, the
+clique number and the vertex cover number are checked against frozen
+copies of their earlier routines, and the search's value against a MILP
+solved by scipy.  The shortest-path
 enumerators check the paper's incident-only condition on EM sets.
 """
 
@@ -283,6 +284,93 @@ def cover_search_reference(holders: list, incumbent: list, budget: int) -> tuple
         stack.append((idx + 1, covered, chosen))
         stack.append((idx + 1, covered | sets[idx], chosen + (idx,)))
     return covers, nodes, True
+
+
+def clique_number_reference(g: Graph) -> int:
+    """``structural.clique_number`` as first written: pivoting Bron-Kerbosch.
+
+    The pivot is the vertex of P | X with the most neighbours in P.  No size
+    guard; exponential on dense graphs such as the cocktail-party graphs.
+    """
+    if g.n == 0:
+        return 0
+    adj = [0] * g.n
+    for u, v in g.edges():
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    best = 0
+
+    def expand(r_size: int, p: int, x: int):
+        nonlocal best
+        if p == 0 and x == 0:
+            best = max(best, r_size)
+            return
+        if r_size + p.bit_count() <= best:
+            return
+        pivot_pool = p | x
+        pivot = (pivot_pool & -pivot_pool).bit_length() - 1
+        best_cover = -1
+        pool = pivot_pool
+        while pool:
+            low = pool & -pool
+            cand = low.bit_length() - 1
+            cover = (p & adj[cand]).bit_count()
+            if cover > best_cover:
+                best_cover = cover
+                pivot = cand
+            pool ^= low
+        ext = p & ~adj[pivot]
+        while ext:
+            low = ext & -ext
+            v = low.bit_length() - 1
+            expand(r_size + 1, p & adj[v], x & adj[v])
+            p &= ~low
+            x |= low
+            ext ^= low
+
+    expand(0, (1 << g.n) - 1, 0)
+    return best
+
+
+def vertex_cover_reference(g: Graph) -> int:
+    """``structural.minimum_vertex_cover_size`` as first written: branching
+    on a vertex of highest degree over frozensets of edges, pruned by a
+    greedy matching.  No size guard."""
+    edges = frozenset(g.edges())
+
+    def matching_lb(es) -> int:
+        used: set = set()
+        count = 0
+        for u, v in sorted(es):
+            if u not in used and v not in used:
+                used.add(u)
+                used.add(v)
+                count += 1
+        return count
+
+    best = g.n
+
+    def rec(es: frozenset, size: int):
+        nonlocal best
+        if not es:
+            best = min(best, size)
+            return
+        if size + matching_lb(es) >= best:
+            return
+        deg: dict = {}
+        for u, v in es:
+            deg[u] = deg.get(u, 0) + 1
+            deg[v] = deg.get(v, 0) + 1
+        v = max(sorted(deg), key=lambda w: deg[w])
+        rec(frozenset(e for e in es if v not in e), size + 1)
+        nbrs = {b if a == v else a for a, b in es if v in (a, b)}
+        rec(
+            frozenset(e for e in es if not (e[0] in nbrs or e[1] in nbrs)),
+            size + len(nbrs),
+        )
+
+    rec(edges, 0)
+    return best
 
 
 def em_holders_reference(g: Graph) -> list:

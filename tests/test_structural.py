@@ -1,8 +1,11 @@
 import hashlib
 import json
+import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demkit import (
     BadParameterError,
@@ -37,6 +40,7 @@ from demkit.structural import (
 )
 
 from conftest import random_connected_graphs
+from oracles import clique_number_reference, vertex_cover_reference
 
 
 class TestLayerProfile:
@@ -300,6 +304,116 @@ class TestBounds:
                 assert val <= rep.feedback_ub
             if rep.regular_lb is not None:
                 assert rep.regular_lb <= val <= g.n - 1
+
+
+def _family_sweep(limit: int):
+    """Every generator family at every size up to `limit` vertices (some
+    parameters strided), plus hypercubes, Petersen and layered graphs."""
+    for n in range(1, limit + 1):
+        yield gen.path(n).graph
+        yield gen.complete(n).graph
+        if n >= 2:
+            yield gen.star(n - 1).graph
+        if n >= 3:
+            yield gen.cycle(n).graph
+            yield gen.d2_graph(n).graph
+        if n >= 5:
+            yield gen.d1_graph(n, d_edges=[(0, 1)]).graph
+        for k in range(2, n, 5):
+            yield gen.em_k_construction(n, k).graph
+        for b in range(0, n // 2, 4):
+            yield gen.double_star(n - 2 - b, b).graph
+        for a in range(1, n // 2 + 1, 3):
+            yield gen.complete_bipartite(a, n - a).graph
+        if n >= 3:
+            for m in (1, 2, 5):
+                if n + m <= limit:
+                    yield gen.join_with_empty(gen.cycle(n).graph, m).graph
+    for p in range(2, limit // 2 + 1):
+        for q in range(p, limit // p + 1):
+            yield gen.grid(p, q).graph
+    d = 1
+    while 2**d <= limit:
+        yield gen.hypercube(d).graph
+        d += 1
+    yield gen.petersen().graph
+    for seed, sizes in enumerate(((2, 1), (3, 3, 2), (4, 5, 4, 3), (6, 6, 6, 6, 6, 5))):
+        inst = gen.a_d_graph(len(sizes) + 1, sizes, seed=seed, intra_edge_prob=0.3)
+        if inst.graph.n <= limit:
+            yield inst.graph
+
+
+def _cocktail_party(k: int):
+    """K_{2 x k}: 2k vertices, all edges but the k disjoint pairs (i, i + k)."""
+    n = 2 * k
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if v != u + k])
+
+
+def _complement(g):
+    return build_graph(
+        g.n, [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+    )
+
+
+def _random_graph(n: int, p: float, rng):
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def _assert_matches_references(g):
+    if g.n <= structural_mod.CLIQUE_GUARD:
+        assert clique_number(g) == clique_number_reference(g), g
+    if g.n <= structural_mod.VERTEX_COVER_GUARD:
+        beta = vertex_cover_reference(g)
+        assert minimum_vertex_cover_size(g) == beta, g
+        assert independence_number(g) == g.n - beta, g
+
+
+class TestIndependenceSearch:
+    """clique_number, minimum_vertex_cover_size and independence_number
+    share one search; each must agree with the routine it replaced."""
+
+    def test_families_up_to_each_guard(self):
+        for g in _family_sweep(structural_mod.CLIQUE_GUARD):
+            _assert_matches_references(g)
+
+    def test_cocktail_party_graphs(self):
+        for k in range(1, 13):
+            g = _cocktail_party(k)
+            assert clique_number(g) == k
+            _assert_matches_references(g)
+
+    def test_complements_of_sparse_graphs(self):
+        for n in range(1, 31):
+            sparse = [gen.random_tree(n, seed=n)]
+            sparse.append(gen.cycle(n).graph if n >= 3 else gen.path(n).graph)
+            if n >= 2:
+                sparse.append(gen.random_connected(n, 0.15, n))
+            for g in sparse:
+                _assert_matches_references(_complement(g))
+
+    def test_random_graphs(self):
+        rng = random.Random(12)
+        for _ in range(320):
+            n = rng.randint(0, 40)
+            p = rng.choice([0.0, rng.random() * 0.2, rng.random()])
+            _assert_matches_references(_random_graph(n, p, rng))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 20), st.floats(0.0, 1.0), st.randoms(use_true_random=False))
+    def test_matches_references_property(self, n, p, rng):
+        _assert_matches_references(_random_graph(n, p, rng))
+
+    # Known values on inputs where Bron-Kerbosch took seconds to minutes.
+    def test_cocktail_party_32(self):
+        assert clique_number(_cocktail_party(32)) == 32
+
+    def test_complement_of_c64(self):
+        assert clique_number(_complement(gen.cycle(64).graph)) == 32
+
+    def test_bounds_of_cocktail_party_20(self):
+        rep = bounds_report(_cocktail_party(20))
+        assert rep.clique_lb == 10
+        assert rep.vertex_cover_ub == 38
 
 
 class TestEmCardinality:
