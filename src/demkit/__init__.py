@@ -17,7 +17,6 @@ from .errors import (
     IsTreeError,
     NotZeroError,
     OutOfRangeError,
-    PathOverflowError,
     SelfLoopError,
     TooLargeError,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "OutOfRangeError",
     "PairSet",
     "PairSetZeroReason",
-    "PathOverflowError",
     "SelfLoopError",
     "TooLargeError",
     "UNREACHABLE",

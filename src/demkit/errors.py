@@ -37,9 +37,5 @@ class TooLargeError(DemkitError, ValueError):
     """Input exceeds the size guard of an exponential subroutine."""
 
 
-class PathOverflowError(DemkitError, ValueError):
-    """Shortest-path enumeration exceeded its cap."""
-
-
 class FormatError(DemkitError, ValueError):
     """An input file does not follow the edge-list format."""

@@ -9,8 +9,8 @@ still counts edges, through each class's weight, so merging changes no
 pick.  One branch-and-bound search, seeded with the greedy cover, returns
 the optimum that is lexicographically smallest over core vertices, so the
 reported monitor set is canonical.  When the node budget runs out, the
-covers found so far are improved by local search and the smallest is
-returned as inexact.
+covers found so far are improved by local search, on one element per
+edge, and the smallest is returned as inexact.
 """
 
 from __future__ import annotations
@@ -66,18 +66,14 @@ class DemResult:
 def _merge(holders: list) -> tuple:
     """Merge the elements covered by the same sets into classes.
 
-    Returns (classes, buckets): classes lists the distinct masks of holders
-    in order of first occurrence, and buckets pairs each multiplicity w with
-    the mask of the classes that stand for w elements.  When no two masks
-    are equal, holders itself is returned, with the single bucket (1, all).
-    First-occurrence order keeps the lowest uncovered class the class of the
-    lowest uncovered element, so _improve_cover makes the same moves on
-    classes as on elements.
+    Returns (classes, buckets): classes lists the distinct masks of holders,
+    most holders first and ties by the larger mask first, so the classes
+    with the fewest holders get the highest bits, the order the packing
+    bound of _cover_search reads.  buckets pairs each multiplicity w with
+    the mask of the classes that stand for w elements.
     """
-    classes = list(dict.fromkeys(holders))
-    if len(classes) == len(holders):
-        return holders, [(1, (1 << len(holders)) - 1)]
     count = Counter(holders)
+    classes = sorted(count, key=lambda h: (h.bit_count(), h), reverse=True)
     buckets: dict = {}
     for c, h in enumerate(classes):
         w = count[h]
@@ -112,16 +108,17 @@ def _greedy_cover(masks: list, full: int, buckets: list) -> list:
     return chosen
 
 
-def _cover_search(holders: list, incumbent: list, budget: int) -> tuple:
+def _cover_search(sets: list, incumbent: list, budget: int) -> tuple:
     """Branch and bound for the lexicographically smallest minimum cover.
 
-    holders[e] is the bitmask of the sets that cover element e; sets are
-    numbered from 0 to the highest set in any mask, and holders is not
-    empty.
+    sets[i] is the bitmask of the elements in set i; there is at least one
+    element, and every element lies in some set.  The bounds below hold
+    for any numbering of the elements, so the numbering changes only the
+    node count, and with it where a budget cuts the search.  Callers pass
+    the masks of _cover_instance, whose classes are numbered as _merge
+    orders them: distinct, with the fewest holders at the highest bits.
 
-    Elements covered by the same sets are merged first, and the merged
-    elements are numbered so that the fewest holders get the highest bits;
-    the covers do not change.  The search is an include-first DFS over set
+    The search is an include-first DFS over set
     indices, looking for covers of size <= limit; limit starts at the
     incumbent's size and drops to one below each cover found.  A node with
     room for r more sets is pruned when the sets from index idx on cannot
@@ -150,22 +147,20 @@ def _cover_search(holders: list, incumbent: list, budget: int) -> tuple:
     the last is the best; exact is False when more than `budget` nodes
     would be needed.
     """
-    n = max(map(int.bit_length, holders))
-    classes = sorted(set(holders), key=lambda h: (h.bit_count(), h), reverse=True)
-    sets = _transpose(classes, n)
-    full = (1 << len(classes)) - 1
+    n = len(sets)
+    suffix_or = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix_or[i] = suffix_or[i + 1] | sets[i]
+    full = suffix_or[0]
     # Only elements with a set of index >= idx are read from keep[idx]: the
     # suffix_or test prunes a node before its packing sees any other.
     keep = [None] * n
-    row = [0] + [full] * len(classes)
+    row = [0] + [full] * full.bit_length()
     for idx in range(n - 1, -1, -1):
         rest = full & ~sets[idx]
         for e in _bits(sets[idx]):
             row[e + 1] &= rest
         keep[idx] = row[:]
-    suffix_or = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_or[i] = suffix_or[i + 1] | sets[i]
     max_pop = max((m.bit_count() for m in sets), default=1) or 1
     covers = [tuple(incumbent)]
     limit = len(incumbent)
@@ -206,46 +201,53 @@ def _cover_search(holders: list, incumbent: list, budget: int) -> tuple:
     return covers, nodes, True
 
 
-def _improve_cover(masks: list, holders: list, full: int, cover) -> list:
-    """Local search: replace any r <= 3 sets of the cover by r - 1 sets
-    (dropping redundant ones when r = 1) until no such move exists.
-    holders[e] is the bitmask of the sets that hold element e."""
+def _improve_cover(holders: list, covers: list) -> list:
+    """Local search: in each cover, replace any r <= 3 sets by r - 1 sets
+    (dropping redundant ones when r = 1) until no such move exists; return
+    the first smallest result.  holders[e] is the bitmask of the sets that
+    hold element e; a move draws its new sets from the holders of the lowest
+    uncovered element."""
+    masks = _transpose(holders, max(map(int.bit_length, holders)))
+    full = (1 << len(holders)) - 1
     max_pop = max(m.bit_count() for m in masks)
     sets_of = [list(_bits(h)) for h in holders]
 
     def sets_with_lowest(elems: int) -> list:
         return sets_of[(elems & -elems).bit_length() - 1]
 
-    cover = list(cover)
-    r = 1
-    while r <= min(3, len(cover)):
-        for group in combinations(cover, r):
-            rest = 0
-            for v in cover:
-                if v not in group:
-                    rest |= masks[v]
-            need = full & ~rest
-            if need.bit_count() > (r - 1) * max_pop:
-                continue
-            swap = () if not need else None
-            if need:
-                for v in sets_with_lowest(need):
-                    left = need & ~masks[v]
-                    if not left:
-                        swap = (v,)
-                        break
-                    if r == 3 and left.bit_count() <= max_pop:
-                        w = next((w for w in sets_with_lowest(left) if not left & ~masks[w]), None)
-                        if w is not None:
-                            swap = (v, w)
+    def polish(cover) -> list:
+        cover = list(cover)
+        r = 1
+        while r <= min(3, len(cover)):
+            for group in combinations(cover, r):
+                rest = 0
+                for v in cover:
+                    if v not in group:
+                        rest |= masks[v]
+                need = full & ~rest
+                if need.bit_count() > (r - 1) * max_pop:
+                    continue
+                swap = () if not need else None
+                if need:
+                    for v in sets_with_lowest(need):
+                        left = need & ~masks[v]
+                        if not left:
+                            swap = (v,)
                             break
-            if swap is not None:
-                cover = [v for v in cover if v not in group] + list(swap)
-                r = 1
-                break
-        else:
-            r += 1
-    return cover
+                        if r == 3 and left.bit_count() <= max_pop:
+                            w = next((w for w in sets_with_lowest(left) if not left & ~masks[w]), None)
+                            if w is not None:
+                                swap = (v, w)
+                                break
+                if swap is not None:
+                    cover = [v for v in cover if v not in group] + list(swap)
+                    r = 1
+                    break
+            else:
+                r += 1
+        return cover
+
+    return min(map(polish, covers), key=len)
 
 
 def _transpose(holders: list, n: int) -> list:
@@ -263,12 +265,13 @@ def _transpose(holders: list, n: int) -> list:
 def _cover_instance(g: Graph) -> tuple:
     """dem on g as set cover over merged edge classes.
 
-    Returns (classes, buckets, masks, full): the classes and buckets of
-    _merge over the EM holders of g's edges, masks[x] the classes in EM(x),
-    and full the mask of all classes.
+    Returns (holders, buckets, masks, full): the EM holders of g's edges,
+    the buckets of _merge over them, masks[x] the classes in EM(x), in
+    _merge's order, and full the mask of all classes.
     """
-    classes, buckets = _merge(_em_holders(g))
-    return classes, buckets, _transpose(classes, g.n), (1 << len(classes)) - 1
+    holders = _em_holders(g)
+    classes, buckets = _merge(holders)
+    return holders, buckets, _transpose(classes, g.n), (1 << len(classes)) - 1
 
 
 def _check_cover(masks: list, full: int, cover) -> None:
@@ -306,14 +309,14 @@ def dem_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> DemResult:
     base = base_graph(g)
     if base.was_tree:
         return _result(g, (0,), "exact", True, 0, t0)
-    classes, buckets, masks, full = _cover_instance(base.graph)
+    holders, buckets, masks, full = _cover_instance(base.graph)
     incumbent = _greedy_cover(masks, full, buckets)
-    covers, nodes, exact = _cover_search(classes, incumbent, budget)
+    covers, nodes, exact = _cover_search(masks, incumbent, budget)
     best = covers[-1]
     if not exact:
         # Polishing every cover, not only the last, keeps a larger budget
         # from ending on a worse result.
-        best = min((_improve_cover(masks, classes, full, c) for c in covers), key=len)
+        best = _improve_cover(holders, covers)
     _check_cover(masks, full, best)
     monitor_set = tuple(sorted(base.new_to_old[v] for v in best))
     return _result(g, monitor_set, "exact", exact, nodes, t0)

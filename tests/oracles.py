@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from demkit import PathOverflowError, em_set_naive, is_monitoring_set
+from demkit import DemkitError, em_set_naive, is_monitoring_set
 from demkit.graph import Graph, _bfs, _check_vertex, canonical_edge, require_connected
 from demkit.monitor import MonitoringCertificate
 
@@ -430,6 +430,10 @@ def em_holders_reference(g: Graph) -> list:
 
 
 _PATH_CAP = 100_000  # most shortest paths enumerate_shortest_paths returns
+
+
+class PathOverflowError(DemkitError, ValueError):
+    """Shortest-path enumeration exceeded _PATH_CAP."""
 
 
 def enumerate_shortest_paths(g: Graph, x: int, y: int) -> list:
