@@ -267,6 +267,8 @@ def random_connected(n: int, edge_prob: float, seed: int) -> Graph:
     pairs = list(combinations(range(n), 2))
     for _ in range(100_000):
         edges = [e for e in pairs if rng.random() < edge_prob]
+        if len(edges) < n - 1:
+            continue  # too few edges to connect n vertices
         g = Graph(n, edges)
         if is_connected(g):
             return g

@@ -119,6 +119,15 @@ def solver_corpus():
 
 
 @pytest.fixture(scope="session")
+def local_search_corpus():
+    """The graphs with at most 250 edges among 48 random connected graphs
+    with n = 30-70: small budgets cut the search on most of them, and the
+    local search's reference scans their covers in well under a second."""
+    graphs = random_connected_graphs(48, 30, 70, seed=131, p_lo=0.05, p_hi=0.3)
+    return [g for g in graphs if g.m <= 250]
+
+
+@pytest.fixture(scope="session")
 def family_corpus():
     return family_graphs(max_n=16)
 

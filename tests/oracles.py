@@ -5,11 +5,11 @@ point is a second, slower route to the same quantity.  Distances come from
 repeated edge relaxation rather than BFS, connectivity from union-find,
 monitored-set minima from subset enumeration over naively recomputed EM
 sets, certificate witnesses from a BFS on G-e for every monitor and edge.
-The set-cover search, the greedy cover, the all-sources EM holders, the
-clique number and the vertex cover number are checked against frozen
-copies of their earlier routines, and the search's value against a MILP
-solved by scipy.  The shortest-path
-enumerators check the paper's incident-only condition on EM sets.
+The set-cover search, its local search, the greedy cover, the all-sources
+EM holders, the clique number and the vertex cover number are checked
+against frozen copies of their earlier routines, and the search's value
+against a MILP solved by scipy.  The shortest-path enumerators check the
+paper's incident-only condition on EM sets.
 """
 
 from __future__ import annotations
@@ -284,6 +284,63 @@ def cover_search_reference(holders: list, incumbent: list, budget: int) -> tuple
         stack.append((idx + 1, covered, chosen))
         stack.append((idx + 1, covered | sets[idx], chosen + (idx,)))
     return covers, nodes, True
+
+
+def improve_cover_reference(holders: list, covers: list) -> list:
+    """``solvers._improve_cover`` as first written: each group's uncovered
+    elements are rebuilt from the rest of the cover.
+
+    Local search: in each cover, replace any r <= 3 sets by r - 1 sets
+    (dropping redundant ones when r = 1) until no such move exists; return
+    the first smallest result.  holders[e] is the bitmask of the sets that
+    hold element e; a move draws its new sets from the holders of the lowest
+    uncovered element.  The fast routine must return the same list, order
+    included, on every list of covers.
+    """
+    masks = [0] * max(map(int.bit_length, holders))
+    for e, h in enumerate(holders):
+        for v in _bits(h):
+            masks[v] |= 1 << e
+    full = (1 << len(holders)) - 1
+    max_pop = max(m.bit_count() for m in masks)
+    sets_of = [list(_bits(h)) for h in holders]
+
+    def sets_with_lowest(elems: int) -> list:
+        return sets_of[(elems & -elems).bit_length() - 1]
+
+    def polish(cover) -> list:
+        cover = list(cover)
+        r = 1
+        while r <= min(3, len(cover)):
+            for group in combinations(cover, r):
+                rest = 0
+                for v in cover:
+                    if v not in group:
+                        rest |= masks[v]
+                need = full & ~rest
+                if need.bit_count() > (r - 1) * max_pop:
+                    continue
+                swap = () if not need else None
+                if need:
+                    for v in sets_with_lowest(need):
+                        left = need & ~masks[v]
+                        if not left:
+                            swap = (v,)
+                            break
+                        if r == 3 and left.bit_count() <= max_pop:
+                            w = next((w for w in sets_with_lowest(left) if not left & ~masks[w]), None)
+                            if w is not None:
+                                swap = (v, w)
+                                break
+                if swap is not None:
+                    cover = [v for v in cover if v not in group] + list(swap)
+                    r = 1
+                    break
+            else:
+                r += 1
+        return cover
+
+    return min(map(polish, covers), key=len)
 
 
 def clique_number_reference(g: Graph) -> int:

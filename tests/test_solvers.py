@@ -34,6 +34,7 @@ from oracles import (
     cover_search_reference,
     greedy_cover_reference,
     harmonic,
+    improve_cover_reference,
     milp_dem,
 )
 
@@ -227,6 +228,19 @@ class TestCoverSearchParity:
                 cases += 1
         assert cases >= 8 * len(self.BUDGETS)
 
+    @pytest.mark.parametrize("budget", (2_000, 20_000))
+    def test_deep_covers(self, budget):
+        # A 55-vertex core on which the search improves on greedy four
+        # times within 2,000 nodes and six within 20,000: the cover is
+        # read back from a long chain of chosen sets, and limit drops
+        # again and again.
+        g = gen.random_connected(55, 0.2, 9)
+        holders, buckets, sets, full = _cover_instance(base_graph(g).graph)
+        incumbent = _greedy_cover(sets, full, buckets)
+        got = _cover_search(sets, incumbent, budget)
+        assert got == cover_search_reference(holders, incumbent, budget)
+        assert len(got[0]) - 1 >= 4 and not got[2]
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.lists(st.integers(1, (1 << 10) - 1), min_size=1, max_size=40),
@@ -298,6 +312,42 @@ class TestImproveCover:
         holders = _transpose([0b0011, 0b1100, 0b0110, 0b1001], 4)
         assert _improve_cover(holders, [[0, 1, 2], [2, 3]]) == [0, 1]
         assert _improve_cover(holders, [[2, 3], [0, 1, 2]]) == [2, 3]
+
+    # The local search must make the reference's moves in the reference's
+    # order, so the lists agree element for element.
+    @pytest.mark.parametrize("budget", (0, 50, 5000))
+    def test_budget_cut_covers_match_reference(self, budget, local_search_corpus):
+        cases = 0
+        for g in local_search_corpus:
+            holders, buckets, masks, full = _cover_instance(base_graph(g).graph)
+            covers, _, exact = _cover_search(masks, _greedy_cover(masks, full, buckets), budget)
+            if exact:
+                continue
+            assert _improve_cover(holders, covers) == improve_cover_reference(holders, covers), g.n
+            cases += 1
+        assert cases >= 10
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(1, (1 << 10) - 1), min_size=1, max_size=40),
+        st.lists(st.lists(st.integers(0, 9), unique=True), min_size=1, max_size=4),
+    )
+    def test_random_holder_lists(self, holders, drafts):
+        # Each draft becomes a cover: an element it misses adds its lowest
+        # holder.
+        n = max(map(int.bit_length, holders))
+        covers = []
+        for draft in drafts:
+            cover = [v for v in draft if v < n]
+            chosen = sum(1 << v for v in cover)
+            for h in holders:
+                if not h & chosen:
+                    low = h & -h
+                    cover.append(low.bit_length() - 1)
+                    chosen |= low
+            covers.append(cover)
+        assert _improve_cover(holders, covers) == improve_cover_reference(holders, covers)
+
 
 
 def _tree_plus_chords(n: int, chords: int, seed: int):
