@@ -345,7 +345,7 @@ def base_graph(g: Graph) -> BaseGraphResult:
         raise BadParameterError("base graph of an empty graph is undefined")
     require_connected(g, "base-graph reduction")
     was_tree = g.m == g.n - 1  # connected, so n - 1 edges make a tree
-    deg = [g.degree(v) for v in range(g.n)]
+    deg = [len(a) for a in g._adj]
     removed = [False] * g.n
     q = deque(v for v in range(g.n) if deg[v] == 1)
     while q:

@@ -146,8 +146,25 @@ def _cover_search(sets: list, incumbent: list, budget: int) -> tuple:
     goes on the stack.  Tests that cannot fire are not made: an include
     child passes the suffix test, since what its parent left uncovered
     lies in sets[idx] | suffix_or[idx + 1], and an exclude child is no
-    cover, since its parent was none.  Both children keep the max_pop
-    test, as limit can drop between a push and its pop.
+    cover, since its parent was none.  A popped exclude child keeps the
+    max_pop test, as limit can drop between a push and its pop.
+
+    Most include children are pruned at once, so the search is mostly a
+    scan along one chain of exclude children, and the scan runs in place.
+    When the include child of a node is pruned, the next node is that
+    node's exclude child, the top of the stack; it is taken directly,
+    with no push or pop.  It skips the max_pop test: it has its parent's
+    uncovered mask, depth and limit (no cover was found in between), and
+    its parent passed that test.  The include child runs its packing
+    first and counts its uncovered elements only when the packing passes:
+    a packing over at most room - 1 elements always passes, so it prunes
+    exactly the nodes that the max_pop test, then the packing when more
+    than room - 1 elements are left, would prune.  The ranges of room and
+    room - 1 steps and the include child's max_pop cap change only on a
+    descent, so a scan reads them once.  None of this changes which node
+    comes next, and each node is checked against the budget just before
+    it is counted, so the nodes, their order, the budget cut points and
+    the covers are those of the plain stack DFS.
 
     Include-first order meets equal-size covers in lexicographic order, and
     no branch holding an optimum is pruned while limit >= optimum, so the
@@ -179,43 +196,79 @@ def _cover_search(sets: list, incumbent: list, budget: int) -> tuple:
     nodes = 0
     stack = [(0, full, None, 0)]
     while stack:
-        # The root or an exclude child.
+        # The root, or an exclude child pushed when its include sibling was
+        # a cover or passed its tests.
         idx, uncovered, chosen, depth = stack.pop()
         if nodes == budget:
             return covers, nodes, False
         nodes += 1
         if uncovered & missing[idx]:
             continue
+        room = limit - depth
+        left = uncovered.bit_count()
+        if left > room * max_pop:
+            continue
+        own = steps[room]
+        if left > room:
+            k = keep[idx]
+            rest = uncovered
+            for _ in own:
+                rest &= k[rest.bit_length()]
+            if rest:
+                continue
+        sub = steps[room - 1]
+        cap = (room - 1) * max_pop
+        # A scan: the node (idx, uncovered, chosen, depth) has passed its
+        # tests, with room = limit - depth.
         while True:
-            room = limit - depth
-            left = uncovered.bit_count()
-            if left > room * max_pop:
-                break
-            if left > room:
-                k = keep[idx]
-                rest = uncovered
-                for _ in steps[room]:
-                    rest &= k[rest.bit_length()]
-                if rest:
-                    break
-            stack.append((idx + 1, uncovered, chosen, depth))
-            # The include child.
+            # Its include child.
             if nodes == budget:
                 return covers, nodes, False
             nodes += 1
-            uncovered &= without[idx]
-            chosen = (idx, chosen)
-            depth += 1
-            idx += 1
-            if not uncovered:
-                cover = []
+            inner = uncovered & without[idx]
+            if not inner:
+                cover = [idx]
                 link = chosen
                 while link:
                     v, link = link
                     cover.append(v)
                 covers.append(tuple(reversed(cover)))
-                limit = depth - 1
+                limit = depth
+                stack.append((idx + 1, uncovered, chosen, depth))
                 break
+            k = keep[idx + 1]
+            rest = inner
+            for _ in sub:
+                rest &= k[rest.bit_length()]
+            if not rest:
+                count = inner.bit_count()
+                if count <= cap:
+                    # Not pruned: descend, its exclude sibling waits.
+                    stack.append((idx + 1, uncovered, chosen, depth))
+                    uncovered = inner
+                    chosen = (idx, chosen)
+                    depth += 1
+                    idx += 1
+                    left = count
+                    room -= 1
+                    own = sub
+                    sub = steps[room - 1]
+                    cap -= max_pop
+                    continue
+            # Pruned: its exclude sibling is the next node, taken in place;
+            # it reads the same row k of keep.
+            idx += 1
+            if nodes == budget:
+                return covers, nodes, False
+            nodes += 1
+            if uncovered & missing[idx]:
+                break
+            if left > room:
+                rest = uncovered
+                for _ in own:
+                    rest &= k[rest.bit_length()]
+                if rest:
+                    break
     return covers, nodes, True
 
 
@@ -249,9 +302,24 @@ def _improve_cover(holders: list, covers: list) -> list:
             common ^= low
         return None
 
+    # reach[e]: the elements that share a set with element e.
+    reach = [0] * len(holders)
+    for m in masks:
+        for e in _bits(m):
+            reach[e] |= m
+
     def pair(need: int):
-        """The first set, then the lowest second set, that hold need."""
-        for v in _bits(holders[(need & -need).bit_length() - 1]):
+        """The first set, then the lowest second set, that hold need.
+
+        A set holding need's lowest element a lies inside reach[a], so the
+        second set holds far, the rest of need, and lies inside the reach
+        of far's lowest element: when far sticks out of that, no two sets
+        hold need."""
+        a = (need & -need).bit_length() - 1
+        far = need & ~reach[a]
+        if far and far & ~reach[(far & -far).bit_length() - 1]:
+            return None
+        for v in _bits(holders[a]):
             left = need & ~masks[v]
             if not left:
                 return (v,)

@@ -241,6 +241,32 @@ class TestCoverSearchParity:
         assert got == cover_search_reference(holders, incumbent, budget)
         assert len(got[0]) - 1 >= 4 and not got[2]
 
+    # Small cores whose whole search takes 7 to 287 nodes; the random ones
+    # improve on greedy once or twice.
+    SMALL = {
+        "K7": lambda: gen.complete(7).graph,
+        "K9": lambda: gen.complete(9).graph,
+        "grid4x5": lambda: gen.grid(4, 5).graph,
+        "grid6x7": lambda: gen.grid(6, 7).graph,
+        "C12": lambda: gen.cycle(12).graph,
+        "petersen": lambda: gen.petersen().graph,
+        "rand15": lambda: gen.random_connected(15, 0.3, 2),
+        "rand17": lambda: gen.random_connected(17, 0.7, 5),
+        "rand20": lambda: gen.random_connected(20, 0.25, 3),
+        "rand22": lambda: gen.random_connected(22, 0.3, 4),
+    }
+
+    @pytest.mark.parametrize("name", SMALL)
+    def test_every_budget(self, name):
+        # A budget can run out at any node: a popped one, an include child,
+        # or an exclude child taken in place after its sibling was pruned.
+        holders, buckets, sets, full = _cover_instance(base_graph(self.SMALL[name]()).graph)
+        incumbent = _greedy_cover(sets, full, buckets)
+        nodes = _cover_search(sets, incumbent, 10**6)[1]
+        for budget in range(nodes + 2):
+            expected = cover_search_reference(holders, incumbent, budget)
+            assert _cover_search(sets, incumbent, budget) == expected, budget
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.lists(st.integers(1, (1 << 10) - 1), min_size=1, max_size=40),
