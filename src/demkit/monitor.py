@@ -196,6 +196,16 @@ def p_set(g: Graph, monitors, e: tuple) -> PairSet:
 
     A target that deletion disconnects from its monitor counts as changed
     (finite -> unreachable is a distance change).
+
+    Only a monitor that holds e contributes: one for which deleting e = (u, v)
+    changes its distance to the far endpoint.  One closer to u than to v
+    holds e exactly when u is v's only parent in its shortest-path DAG; any
+    other shortest path through e could reach v another way.  Four BFS from
+    the endpoints, in G and in G-e, find every holder at once, since
+    d(x, v) = d(v, x).  For a holder x, the targets whose distance changes
+    are the far endpoint's subtree in the dominator tree of x's DAG, read
+    off one more sweep from x.  So the cost is O((4 + h)(n + m)) for h
+    holders, not the 2|M| BFS of the definition.
     """
     u, v = e
     if not g.has_edge(u, v):
@@ -204,14 +214,74 @@ def p_set(g: Graph, monitors, e: tuple) -> PairSet:
     for x in ms:
         _check_vertex(g, x)
     edge = canonical_edge(u, v)
+    ends = _endpoint_distances(g, edge)
     pairs = set()
     for x in sorted(ms):
-        before = _bfs(g, x)
-        after = _bfs(g, x, skip=edge)
-        for y in range(g.n):
-            if before[y] != after[y]:
+        far = _held_far_end(ends, edge, x)
+        if far < 0:
+            continue
+        order, dist, parent = _sweep(g, x)
+        idom = _dominators(g, order, dist, parent)
+        inside = [False] * g.n
+        inside[far] = True
+        pairs.add((x, far))
+        for y in order[order.index(far) + 1 :]:
+            if inside[idom[y]]:
+                inside[y] = True
                 pairs.add((x, y))
     return PairSet(monitors=frozenset(ms), edge=edge, pairs=frozenset(pairs))
+
+
+def _endpoint_distances(g: Graph, edge: tuple) -> tuple:
+    """d(u, .) and d(v, .) in G, then the same in G-e, for e = (u, v)."""
+    u, v = edge
+    return _bfs(g, u), _bfs(g, v), _bfs(g, u, skip=edge), _bfs(g, v, skip=edge)
+
+
+def _held_far_end(ends: tuple, edge: tuple, x: int) -> int:
+    """The endpoint of e farther from x when x holds e, else -1.
+
+    -1 also when x is as far from both ends (or reaches neither): then no
+    shortest path from x runs through e.
+    """
+    du, dv, du_after, dv_after = ends
+    if du[x] == dv[x]:
+        return -1
+    u, v = edge
+    if du[x] < dv[x]:
+        return v if dv_after[x] != dv[x] else -1
+    return u if du_after[x] != du[x] else -1
+
+
+def _dominators(g: Graph, order: list, dist: list, parent: list) -> list:
+    """Immediate dominators in the shortest-path DAG of one _sweep.
+
+    Built in BFS order: a vertex with one parent hangs below it; one with
+    several hangs below their nearest common dominator, found by walking up
+    from the farther of two candidates (a dominator is strictly closer to
+    the source, so the farther one, or either on a tie, cannot be it).  The
+    source and unreached vertices keep -1.
+    """
+    adj = g._adj
+    idom = parent[:]
+    for v in order[1:]:
+        if idom[v] != _MANY:
+            continue
+        dv1 = dist[v] - 1
+        a = -1
+        for w in adj[v]:
+            if dist[w] != dv1:
+                continue
+            if a < 0:
+                a = w
+                continue
+            while a != w:
+                if dist[a] >= dist[w]:
+                    a = idom[a]
+                else:
+                    w = idom[w]
+        idom[v] = a
+    return idom
 
 
 def is_monitoring_set(g: Graph, monitors) -> MonitoringCertificate:
@@ -231,7 +301,6 @@ def is_monitoring_set(g: Graph, monitors) -> MonitoringCertificate:
     if not ms:
         require_connected(g, "monitoring-set verification")
     witnesses: dict = {}
-    adj = g._adj
     for x in ms:
         order, dist, parent = _sweep(g, x)
         if len(order) < g.n:
@@ -244,29 +313,7 @@ def is_monitoring_set(g: Graph, monitors) -> MonitoringCertificate:
                     fresh.append((e, v))
         if not fresh:
             continue
-        # Dominator tree of the shortest-path DAG, built in BFS order: a
-        # vertex with one parent hangs below it; one with several hangs
-        # below their nearest common dominator, found by walking up from
-        # the farther of two candidates (a dominator is strictly closer to
-        # x, so the farther one, or either on a tie, cannot be it).
-        idom = parent[:]
-        for v in order[1:]:
-            if idom[v] != _MANY:
-                continue
-            dv1 = dist[v] - 1
-            a = -1
-            for w in adj[v]:
-                if dist[w] != dv1:
-                    continue
-                if a < 0:
-                    a = w
-                    continue
-                while a != w:
-                    if dist[a] >= dist[w]:
-                        a = idom[a]
-                    else:
-                        w = idom[w]
-            idom[v] = a
+        idom = _dominators(g, order, dist, parent)
         low = list(range(g.n))
         for v in reversed(order[1:]):
             d = idom[v]
@@ -311,17 +358,14 @@ def p_set_size_zero_reason(g: Graph, monitors, e: tuple) -> PairSetZeroReason:
     ms = sorted(ps.monitors)
     if not ms:
         return PairSetZeroReason(empty_monitor_set=True, per_vertex={})
-    u, v = ps.edge
+    ends = _endpoint_distances(g, ps.edge)
+    du, dv = ends[0], ends[1]
     per_vertex = {}
     for x in ms:
-        dist = _bfs(g, x)
-        du, dv = dist[u], dist[v]
-        if du == dv:
+        if du[x] == dv[x]:
             per_vertex[x] = "equidistant"
+        elif _held_far_end(ends, ps.edge, x) >= 0:
+            raise AssertionError("empty pair set but far endpoint distance changed")
         else:
-            far = u if du > dv else v
-            after = _bfs(g, x, skip=ps.edge)
-            if after[far] != dist[far]:
-                raise AssertionError("empty pair set but far endpoint distance changed")
             per_vertex[x] = "detour_preserves_distance"
     return PairSetZeroReason(empty_monitor_set=False, per_vertex=per_vertex)

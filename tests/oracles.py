@@ -6,9 +6,9 @@ repeated edge relaxation rather than BFS, connectivity from union-find,
 monitored-set minima from subset enumeration over naively recomputed EM
 sets, certificate witnesses from a BFS on G-e for every monitor and edge.
 The set-cover search, its local search, the greedy cover, the all-sources
-EM holders, the clique number and the vertex cover number are checked
-against frozen copies of their earlier routines, and the search's value
-against a MILP solved by scipy.  The shortest-path enumerators check the
+EM holders, the pair sets P(M, e), the clique number and the vertex cover
+number are checked against frozen copies of their earlier routines, and
+the search's value against a MILP solved by scipy.  The shortest-path enumerators check the
 paper's incident-only condition on EM sets.
 """
 
@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from demkit import DemkitError, em_set_naive, is_monitoring_set
+from demkit import DemkitError, EdgeNotPresentError, em_set_naive, is_monitoring_set
 from demkit.graph import Graph, _bfs, _check_vertex, canonical_edge, require_connected
-from demkit.monitor import MonitoringCertificate
+from demkit.monitor import MonitoringCertificate, PairSet
 
 
 def relaxation_distances(g: Graph, source: int, skip=None):
@@ -484,6 +484,29 @@ def em_holders_reference(g: Graph) -> list:
         front = nxt
         active = still
     return holders
+
+
+def p_set_reference(g: Graph, monitors, e: tuple) -> PairSet:
+    """``monitor.p_set`` as first written: two BFS per monitor, on G and G-e.
+
+    P(M, e) straight from its definition.  The fast routine must return the
+    same pair set on every input and raise on the same ones.
+    """
+    u, v = e
+    if not g.has_edge(u, v):
+        raise EdgeNotPresentError(f"edge ({u}, {v}) not in graph")
+    ms = set(monitors)
+    for x in ms:
+        _check_vertex(g, x)
+    edge = canonical_edge(u, v)
+    pairs = set()
+    for x in sorted(ms):
+        before = _bfs(g, x)
+        after = _bfs(g, x, skip=edge)
+        for y in range(g.n):
+            if before[y] != after[y]:
+                pairs.add((x, y))
+    return PairSet(monitors=frozenset(ms), edge=edge, pairs=frozenset(pairs))
 
 
 _PATH_CAP = 100_000  # most shortest paths enumerate_shortest_paths returns

@@ -11,12 +11,14 @@ from demkit import (
     build_graph,
     em_set,
     em_set_naive,
+    is_connected,
     is_monitoring_set,
     is_tree,
     p_set,
     p_set_size_zero_reason,
 )
 from demkit import generators as gen
+from demkit import monitor
 from demkit.graph import _bfs, base_graph, bfs_distances, canonical_edge, degree_extremes
 from demkit.monitor import _em_holders
 
@@ -29,6 +31,7 @@ from oracles import (
     enumerate_shortest_paths,
     has_two_nearly_disjoint_shortest_paths,
     is_forest,
+    p_set_reference,
 )
 
 
@@ -324,6 +327,92 @@ class TestMonitoringSet:
         }
 
 
+def any_graph(n, p, seed):
+    """A G(n, p) sample, connected or not."""
+    rng = random.Random(seed)
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def assert_p_set_parity(g, monitors):
+    for e in g.edges():
+        assert p_set(g, monitors, e) == p_set_reference(g, monitors, e), (g, monitors, e)
+
+
+class TestPSetParity:
+    @pytest.mark.parametrize("name,g", family_graphs(max_n=16))
+    def test_every_family(self, name, g):
+        rng = random.Random(g.n * 7 + g.m)
+        assert_p_set_parity(g, range(g.n))
+        assert_p_set_parity(g, [v for v in range(g.n) if rng.random() < 0.4])
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 25])
+    def test_trees_every_edge_a_bridge(self, n):
+        t = gen.random_tree(n, seed=n)
+        assert bridges(t) == set(t.edges())
+        assert_p_set_parity(t, range(n))
+        assert_p_set_parity(t, [n - 1])
+
+    def test_grid_with_chord(self):
+        g = grid_with_chord(6, 7, 2, 3)
+        assert_p_set_parity(g, range(g.n))
+
+    def test_disconnected_random(self):
+        seen_disconnected = 0
+        for seed in range(60):
+            g = any_graph(4 + seed % 20, 0.12, seed)
+            seen_disconnected += not is_connected(g)
+            rng = random.Random(seed)
+            assert_p_set_parity(g, range(g.n))
+            assert_p_set_parity(g, [v for v in range(g.n) if rng.random() < 0.5])
+        assert seen_disconnected >= 40
+
+    def test_monitor_lists(self):
+        g = gen.grid(4, 5).graph
+        for monitors in ([], [7, 7, 7], [19, 0, 3, 0, 12], range(19, -1, -1)):
+            assert_p_set_parity(g, monitors)
+
+    def test_bad_input_raises_like_reference(self):
+        g = gen.path(4).graph
+        for monitors, e in (([0], (0, 2)), ([4], (0, 1)), ([-1], (1, 2))):
+            with pytest.raises(Exception) as want:
+                p_set_reference(g, monitors, e)
+            with pytest.raises(want.type):
+                p_set(g, monitors, e)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_reference_property(self, data):
+        n = data.draw(st.integers(2, 20))
+        g = any_graph(n, data.draw(st.floats(0.05, 0.9)), data.draw(st.integers(0, 10_000)))
+        if not g.m:
+            return
+        e = data.draw(st.sampled_from(sorted(g.edges())))
+        monitors = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+        if data.draw(st.booleans()):
+            e = e[::-1]
+        assert p_set(g, monitors, e) == p_set_reference(g, monitors, e)
+
+    def test_traversals_bounded_by_holders(self, monkeypatch):
+        # Four BFS from the endpoints, then one sweep per monitor that
+        # holds the edge: a count, so it does not depend on machine speed.
+        g = gen.grid(20, 20).graph
+        e = (90, 91)
+        want = p_set_reference(g, range(g.n), e)
+        holders = {x for x, _ in want.pairs}
+        assert len(holders) == 20
+        calls = []
+
+        def counted(name):
+            real = getattr(monitor, name)
+            return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+        for name in ("_bfs", "_sweep"):
+            monkeypatch.setattr(monitor, name, counted(name))
+        assert p_set(g, range(g.n), e) == want
+        assert len(calls) <= 4 + len(holders) == 24
+        assert calls.count("_sweep") == len(holders)
+
+
 class TestZeroReason:
     def test_empty_monitors(self):
         r = p_set_size_zero_reason(gen.complete(3).graph, [], (1, 2))
@@ -349,3 +438,19 @@ class TestZeroReason:
                 if p_set(g, monitors, e).size == 0:
                     r = p_set_size_zero_reason(g, monitors, e)
                     assert r.empty_monitor_set or set(r.per_vertex) == set(monitors)
+
+    def test_tags_match_per_monitor_bfs(self):
+        checked = 0
+        for seed in range(40):
+            g = any_graph(3 + seed % 12, 0.3, seed)
+            rng = random.Random(seed)
+            for u, v in g.edges():
+                monitors = [x for x in range(g.n) if x not in (u, v) and rng.random() < 0.5]
+                if not monitors or p_set(g, monitors, (u, v)).size:
+                    continue
+                tags = p_set_size_zero_reason(g, monitors, (u, v)).per_vertex
+                for x in monitors:
+                    d = _bfs(g, x)
+                    assert tags[x] == ("equidistant" if d[u] == d[v] else "detour_preserves_distance")
+                checked += 1
+        assert checked >= 50
