@@ -81,15 +81,27 @@ class Graph:
                 raise OutOfRangeError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
             if u == v:
                 raise SelfLoopError(f"self-loop at vertex {u}")
-            e = canonical_edge(u, v)
-            if e in seen:
-                continue
-            seen.add(e)
-            adj[u].append(v)
-            adj[v].append(u)
-        self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
+            e = (u, v) if u < v else (v, u)
+            if e not in seen:
+                seen.add(e)
+                adj[u].append(v)
+                adj[v].append(u)
+        for a in adj:
+            a.sort()
+        self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
         self._m = len(seen)
         self._hash: Optional[int] = None
+
+    @classmethod
+    def _from_adj(cls, adj: tuple, m: int) -> "Graph":
+        """The graph whose sorted adjacency tuples are adj, with m edges,
+        taken as they are: the caller vouches for them."""
+        g = cls.__new__(cls)
+        g.n = len(adj)
+        g._adj = adj
+        g._m = m
+        g._hash = None
+        return g
 
     @property
     def m(self) -> int:
@@ -367,13 +379,13 @@ def base_graph(g: Graph) -> BaseGraphResult:
     old_to_new: list = [None] * g.n
     for new, old in enumerate(survivors):
         old_to_new[old] = new
-    core_edges = [
-        (old_to_new[u], old_to_new[v])
-        for u, v in g.edges()
-        if old_to_new[u] is not None and old_to_new[v] is not None
-    ]
+    # The relabelling keeps the order of the survivors, so their neighbour
+    # tuples, filtered and relabelled, stay sorted.
+    adj = tuple(
+        tuple([old_to_new[w] for w in g._adj[v] if not removed[w]]) for v in survivors
+    )
     return BaseGraphResult(
-        graph=Graph(len(survivors), core_edges),
+        graph=Graph._from_adj(adj, sum(map(len, adj)) // 2),
         old_to_new=tuple(old_to_new),
         new_to_old=survivors,
         was_tree=was_tree,

@@ -70,43 +70,40 @@ def parse_edgelist(text: str) -> LoadedGraph:
         raise FormatError("header counts must be nonnegative")
     if len(data_lines) - 1 != m:
         raise FormatError(f"header declares {m} edges but {len(data_lines) - 1} lines follow")
-    raw_edges = []
+    tokens = []
     for line in data_lines[1:]:
         parts = line.split()
         if len(parts) != 2:
             raise FormatError(f"edge line must be 'u v', got {line!r}")
-        raw_edges.append((parts[0], parts[1]))
+        tokens += parts
 
-    labels, id_edges = _map_labels(n, raw_edges)
+    labels, id_edges = _map_labels(n, tokens)
     graph = Graph(n, id_edges)
     roles = _parse_roles(comments, labels, n)
     return LoadedGraph(graph=graph, labels=labels, roles=roles)
 
 
-def _map_labels(n: int, raw_edges):
-    """Identity mapping when all tokens are canonical ids, else first-seen order."""
-    canonical = True
-    for a, b in raw_edges:
-        for tok in (a, b):
-            try:
-                v = int(tok)
-            except ValueError:
-                canonical = False
-                break
-            if not (0 <= v < n) or str(v) != tok:
-                canonical = False
-                break
-        if not canonical:
-            break
-    if canonical:
-        return None, [(int(a), int(b)) for a, b in raw_edges]
+def _map_labels(n: int, tokens: list):
+    """Identity mapping when all tokens are canonical ids, else first-seen order.
+
+    tokens lists the endpoints of the edges, two per edge.  A token is a
+    canonical id when it is the decimal form of an int in 0..n-1, so `007`,
+    `+1`, `1_0` and `-0` are labels, though int() reads them.
+    """
+    try:
+        ids = list(map(int, tokens))
+    except ValueError:
+        ids = None
+    if ids is not None and list(map(str, ids)) == tokens and (
+        not ids or (min(ids) >= 0 and max(ids) < n)
+    ):
+        return None, list(zip(ids[::2], ids[1::2]))
     table: dict = {}
-    for a, b in raw_edges:
-        for tok in (a, b):
-            if tok not in table:
-                if len(table) == n:
-                    raise FormatError(f"more than {n} distinct labels in edge list")
-                table[tok] = len(table)
+    for tok in tokens:
+        if tok not in table:
+            if len(table) == n:
+                raise FormatError(f"more than {n} distinct labels in edge list")
+            table[tok] = len(table)
     labels = [None] * n
     for tok, idx in table.items():
         labels[idx] = tok
@@ -114,7 +111,8 @@ def _map_labels(n: int, raw_edges):
     for idx in range(n):
         if labels[idx] is None:
             labels[idx] = f"_isolated{idx}"
-    return labels, [(table[a], table[b]) for a, b in raw_edges]
+    ids = list(map(table.__getitem__, tokens))
+    return labels, list(zip(ids[::2], ids[1::2]))
 
 
 def _parse_roles(comments, labels, n):

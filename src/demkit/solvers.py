@@ -73,7 +73,9 @@ def _merge(holders: list) -> tuple:
     the mask of the classes that stand for w elements.
     """
     count = Counter(holders)
-    classes = sorted(count, key=lambda h: (h.bit_count(), h), reverse=True)
+    # Two stable sorts with C keys: by mask, then by holder count.
+    classes = sorted(count, reverse=True)
+    classes.sort(key=int.bit_count, reverse=True)
     buckets: dict = {}
     for c, h in enumerate(classes):
         w = count[h]
@@ -132,7 +134,12 @@ def _cover_search(sets: list, incumbent: list, budget: int) -> tuple:
     runs r steps, over a range built once per room, on a copy of the
     uncovered mask, and prunes iff anything is left; it is skipped when at
     most r elements are uncovered: each step removes at least the element
-    it takes.
+    it takes.  The rows are built from the last set backwards, and an
+    entry only loses bits, so the build skips the entries already at 0
+    and copies the row only at an index where some entry changes; the
+    indices in between share one list.  Where the sets are nearly full,
+    as on a cycle, every entry is 0 after a few sets, and the table holds
+    a handful of rows, not one per set.
 
     A node is (idx, uncovered, chosen, depth): the elements still
     uncovered, the chosen sets as a linked list (index, rest), newest
@@ -181,14 +188,25 @@ def _cover_search(sets: list, incumbent: list, budget: int) -> tuple:
     missing = [full ^ m for m in suffix_or]
     without = [full ^ m for m in sets]
     # Only elements with a set of index >= idx are read from keep[idx]: the
-    # suffix test prunes a node before its packing sees any other.
+    # suffix test prunes a node before its packing sees any other.  alive
+    # holds the elements whose entry is not yet 0.
     keep = [None] * n
     row = [0] + [full] * full.bit_length()
+    alive = full
     for idx in range(n - 1, -1, -1):
-        rest = without[idx]
-        for e in _bits(sets[idx]):
-            row[e + 1] &= rest
-        keep[idx] = row[:]
+        m = sets[idx]
+        shared = True
+        for e in _bits(m & alive):
+            old = row[e + 1]
+            if old & m:
+                if shared:
+                    row = row[:]
+                    shared = False
+                new = old & without[idx]
+                row[e + 1] = new
+                if not new:
+                    alive ^= 1 << e
+        keep[idx] = row
     max_pop = max((m.bit_count() for m in sets), default=1) or 1
     steps = [range(r) for r in range(len(incumbent) + 1)]
     covers = [tuple(incumbent)]
@@ -382,14 +400,26 @@ def _improve_cover(holders: list, covers: list) -> list:
 
 
 def _transpose(holders: list, n: int) -> list:
-    """Per-set masks over elements from per-element masks over n sets."""
+    """Per-set masks over elements from per-element masks over n sets.
+
+    The loop walks one bit per (element, set) pair it records.  When the
+    holder masks are more than half full, it walks their zero bits
+    instead, transposing the complements, and complements the result
+    back: on a cycle every class misses at most two of the n sets.
+    """
+    dense = 2 * sum(map(int.bit_count, holders)) > n * len(holders)
+    flip = (1 << n) - 1 if dense else 0
     masks = [0] * n
     for e, h in enumerate(holders):
         bit = 1 << e
+        h ^= flip
         while h:
             low = h & -h
             masks[low.bit_length() - 1] |= bit
             h ^= low
+    if dense:
+        every = (1 << len(holders)) - 1
+        masks = [every ^ m for m in masks]
     return masks
 
 

@@ -5,19 +5,31 @@ point is a second, slower route to the same quantity.  Distances come from
 repeated edge relaxation rather than BFS, connectivity from union-find,
 monitored-set minima from subset enumeration over naively recomputed EM
 sets, certificate witnesses from a BFS on G-e for every monitor and edge.
-The set-cover search, its local search, the greedy cover, the all-sources
-EM holders, the pair sets P(M, e), the clique number and the vertex cover
-number are checked against frozen copies of their earlier routines, and
+The set-cover search, its local search, the greedy cover, the class
+merge and transpose, the all-sources EM holders, the pair sets P(M, e),
+the clique number, the vertex cover number and the edge-list loader are
+checked against frozen copies of their earlier routines, and
 the search's value against a MILP solved by scipy.  The shortest-path enumerators check the
 paper's incident-only condition on EM sets.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 
-from demkit import DemkitError, EdgeNotPresentError, em_set_naive, is_monitoring_set
+from demkit import (
+    BadParameterError,
+    DemkitError,
+    EdgeNotPresentError,
+    FormatError,
+    OutOfRangeError,
+    SelfLoopError,
+    em_set_naive,
+    is_monitoring_set,
+)
 from demkit.graph import Graph, _bfs, _check_vertex, canonical_edge, require_connected
+from demkit.io import LoadedGraph, _parse_roles
 from demkit.monitor import MonitoringCertificate, PairSet
 
 
@@ -224,6 +236,35 @@ def greedy_cover_reference(masks: list, full: int) -> list:
         chosen.append(best_v)
         covered |= masks[best_v]
     return chosen
+
+
+def merge_reference(holders: list) -> tuple:
+    """``solvers._merge`` as first written: one sort on a Python key.
+
+    Classes are the distinct holder masks, most holders first and ties by
+    the larger mask first; buckets pair each multiplicity with the mask of
+    its classes.  The fast routine must return the same pair.
+    """
+    count = Counter(holders)
+    classes = sorted(count, key=lambda h: (h.bit_count(), h), reverse=True)
+    buckets: dict = {}
+    for c, h in enumerate(classes):
+        w = count[h]
+        buckets[w] = buckets.get(w, 0) | 1 << c
+    return classes, sorted(buckets.items())
+
+
+def transpose_reference(holders: list, n: int) -> list:
+    """``solvers._transpose`` as first written: one step per set bit,
+    whatever the density."""
+    masks = [0] * n
+    for e, h in enumerate(holders):
+        bit = 1 << e
+        while h:
+            low = h & -h
+            masks[low.bit_length() - 1] |= bit
+            h ^= low
+    return masks
 
 
 def cover_search_reference(holders: list, incumbent: list, budget: int) -> tuple:
@@ -609,3 +650,106 @@ def milp_dem(g: Graph) -> int:
     if res.status != 0:
         raise AssertionError(f"milp failed: {res.message}")
     return round(res.fun)
+
+
+def graph_reference(n: int, edges) -> Graph:
+    """``Graph(n, edges)`` as first written: canonical_edge per edge and a
+    sorted copy of every adjacency list.  Endpoints are range-checked, then
+    tested for a self-loop, edge by edge, so the first bad edge decides the
+    error."""
+    if n < 0:
+        raise BadParameterError("vertex count must be nonnegative")
+    seen: set = set()
+    adj: list = [[] for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n) or not (0 <= v < n):
+            raise OutOfRangeError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
+        if u == v:
+            raise SelfLoopError(f"self-loop at vertex {u}")
+        e = canonical_edge(u, v)
+        if e in seen:
+            continue
+        seen.add(e)
+        adj[u].append(v)
+        adj[v].append(u)
+    g = Graph.__new__(Graph)
+    g.n = n
+    g._adj = tuple(tuple(sorted(a)) for a in adj)
+    g._m = len(seen)
+    g._hash = None
+    return g
+
+
+def _map_labels_reference(n: int, raw_edges):
+    """``io._map_labels`` as first written: token by token."""
+    canonical = True
+    for a, b in raw_edges:
+        for tok in (a, b):
+            try:
+                v = int(tok)
+            except ValueError:
+                canonical = False
+                break
+            if not (0 <= v < n) or str(v) != tok:
+                canonical = False
+                break
+        if not canonical:
+            break
+    if canonical:
+        return None, [(int(a), int(b)) for a, b in raw_edges]
+    table: dict = {}
+    for a, b in raw_edges:
+        for tok in (a, b):
+            if tok not in table:
+                if len(table) == n:
+                    raise FormatError(f"more than {n} distinct labels in edge list")
+                table[tok] = len(table)
+    labels = [None] * n
+    for tok, idx in table.items():
+        labels[idx] = tok
+    for idx in range(n):
+        if labels[idx] is None:
+            labels[idx] = f"_isolated{idx}"
+    return labels, [(table[a], table[b]) for a, b in raw_edges]
+
+
+def parse_edgelist_reference(text: str) -> LoadedGraph:
+    """``io.parse_edgelist`` as first written, with the bodies of
+    ``io._map_labels`` and ``Graph.__init__`` of that time (above).  The
+    role comments go through the same ``io._parse_roles``.  The fast loader
+    must return an equal LoadedGraph, or raise the same error with the same
+    message, on every text.
+    """
+    comments = []
+    data_lines = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            comments.append(line[1:].strip())
+        else:
+            data_lines.append(line)
+    if not data_lines:
+        raise FormatError("missing 'n m' header line")
+    head = data_lines[0].split()
+    if len(head) != 2:
+        raise FormatError(f"header must be 'n m', got {data_lines[0]!r}")
+    try:
+        n, m = int(head[0]), int(head[1])
+    except ValueError:
+        raise FormatError(f"header must be two integers, got {data_lines[0]!r}")
+    if n < 0 or m < 0:
+        raise FormatError("header counts must be nonnegative")
+    if len(data_lines) - 1 != m:
+        raise FormatError(f"header declares {m} edges but {len(data_lines) - 1} lines follow")
+    raw_edges = []
+    for line in data_lines[1:]:
+        parts = line.split()
+        if len(parts) != 2:
+            raise FormatError(f"edge line must be 'u v', got {line!r}")
+        raw_edges.append((parts[0], parts[1]))
+    labels, id_edges = _map_labels_reference(n, raw_edges)
+    graph = graph_reference(n, id_edges)
+    roles = _parse_roles(comments, labels, n)
+    return LoadedGraph(graph=graph, labels=labels, roles=roles)

@@ -1,8 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from demkit import FormatError
+from demkit import FormatError, Graph
 from demkit import generators as gen
 from demkit.io import format_edgelist, load_edgelist, parse_edgelist, to_dot, write_edgelist
+
+from oracles import graph_reference, parse_edgelist_reference
 
 
 class TestParse:
@@ -86,3 +90,107 @@ class TestFormat:
         assert 'fillcolor="lightblue"' in dot
         assert 'color="red" style=dashed' in dot
         assert "penwidth=2" in dot
+
+
+def _outcome(parse, text):
+    """What parse makes of text: the loaded graph, labels and roles, or the
+    type and message of the error it raises."""
+    try:
+        loaded = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    g = loaded.graph
+    return g.n, g._adj, g.m, loaded.labels, loaded.roles
+
+
+# Tokens that int() reads but that are not the decimal form of an id, ids
+# inside and outside small ranges, and plain labels.
+_TOKENS = st.one_of(
+    st.sampled_from(["007", "+1", "1_0", "-0", "\u0663", "-1", "10", "99", "a", "b", "c"]),
+    st.integers(0, 7).map(str),
+)
+_SPACE = st.sampled_from(["", " ", "\t", "  "])
+
+
+@st.composite
+def _edge_list_texts(draw):
+    """Edge-list texts: mostly well formed, with 1- and 3-token lines,
+    duplicate, reversed and self-loop edges, blank and comment lines, and
+    bad or wrong headers."""
+    n = draw(st.integers(0, 12))
+    kinds = ["edge"] * 8 + ["repeat"] * 2 + ["blank", "comment"]
+    if draw(st.sampled_from([False] * 3 + [True])):
+        kinds += ["one", "three"]
+    body = []  # (is a data line, the line)
+    pairs = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "edge" or (kind == "repeat" and not pairs):
+            pairs.append((draw(_TOKENS), draw(_TOKENS)))
+            body.append((True, " ".join(pairs[-1])))
+        elif kind == "repeat":
+            # An earlier edge again, either way round.
+            u, v = draw(st.sampled_from(pairs))
+            body.append((True, draw(st.sampled_from([f"{u} {v}", f"{v} {u}"]))))
+        elif kind == "one":
+            body.append((True, draw(_TOKENS)))
+        elif kind == "three":
+            body.append((True, " ".join(draw(st.lists(_TOKENS, min_size=3, max_size=3)))))
+        elif kind == "blank":
+            body.append((False, draw(_SPACE)))
+        else:
+            key = draw(st.sampled_from(["hub", "family", "a b", "", "seed"]))
+            body.append((False, f"# {key}={draw(_TOKENS)}"))
+    m = sum(edge for edge, _ in body)
+    header = draw(st.sampled_from([f"{n} {m}"] * 14 + [
+        f"{n} {m + 1}", f"{n}", f"{n} {m} 0", "two vertices", f"-1 {m}", f"{n} -1", f"{n} 0x1",
+    ]))
+    lines = [header] + [line for _, line in body]
+    if draw(st.booleans()):
+        lines.insert(0, "# " + draw(st.sampled_from(["comment", "hub=0", "x=\u0663"])))
+    if draw(st.sampled_from([False] * 20 + [True])):
+        lines = []
+    return "\n".join(draw(_SPACE) + line + draw(_SPACE) for line in lines) + "\n"
+
+
+class TestLoaderParity:
+    # The loader reads the tokens and builds the graph in bulk; it must load
+    # what the line-by-line loader loaded, or fail with its error.
+    @settings(max_examples=600, deadline=None)
+    @given(_edge_list_texts())
+    def test_same_graph_labels_roles_or_error(self, text):
+        assert _outcome(parse_edgelist, text) == _outcome(parse_edgelist_reference, text)
+
+    @pytest.mark.parametrize("text", [
+        "3 2\n007 1\n1 2\n",
+        "3 1\n+1 1_0\n",
+        "2 1\n-0 0\n",
+        "4 1\n\u0663 0\n",
+        "3 2\n0 1\n1 1\n",
+        "3 1\n1 1\n",
+        "3 3\n0 1\n1 0\n0 1\n",
+        "2 1\n0 1 2\n",
+        "2 2\na b\nc d\n",
+        "x y\n0 1\n",
+        "# hub=1\n\n  3 2  \n0 1\n\n# a comment\n1 2\n",
+        "0 0\n",
+    ])
+    def test_named_texts(self, text):
+        assert _outcome(parse_edgelist, text) == _outcome(parse_edgelist_reference, text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.integers(0, 6),
+        st.lists(st.tuples(st.integers(-2, 7), st.integers(-2, 7)), max_size=12),
+    )
+    def test_graph_same_adjacency_or_error(self, n, edges):
+        # Range first, then self-loops, edge by edge: the first bad edge
+        # decides the error and its message.
+        def build(make):
+            try:
+                g = make(n, edges)
+            except Exception as exc:
+                return type(exc), str(exc)
+            return g.n, g._adj, g.m
+
+        assert build(Graph) == build(graph_reference)

@@ -35,7 +35,9 @@ from oracles import (
     greedy_cover_reference,
     harmonic,
     improve_cover_reference,
+    merge_reference,
     milp_dem,
+    transpose_reference,
 )
 
 
@@ -281,6 +283,48 @@ class TestCoverSearchParity:
         assert _cover_search(sets, incumbent, budget) == expected
 
 
+    # Cores whose EM sets are nearly full: long cycles, and cycle-like
+    # 2-cores of trees plus chords as in the benchmark's large_core corpus.
+    # There the classes are transposed through their complements and most
+    # rows of the packing table are shared.
+    DENSE = {
+        "C50": lambda: gen.cycle(50).graph,
+        "C200": lambda: gen.cycle(200).graph,
+        "C400": lambda: gen.cycle(400).graph,
+        "tree320": lambda: _tree_with_core(320, 11),
+        "tree540": lambda: _tree_with_core(540, 12),
+        "tree790": lambda: _tree_with_core(790, 13),
+    }
+
+    @pytest.mark.parametrize("name", DENSE)
+    def test_dense_cores(self, name):
+        core = base_graph(self.DENSE[name]()).graph
+        holders, buckets, sets, full = _cover_instance(core)
+        classes = _merge(holders)[0]
+        assert 2 * sum(map(int.bit_count, classes)) > core.n * len(classes)
+        assert sets == transpose_reference(classes, core.n)
+        incumbent = _greedy_cover(sets, full, buckets)
+        for budget in self.BUDGETS:
+            expected = cover_search_reference(holders, incumbent, budget)
+            assert _cover_search(sets, incumbent, budget) == expected, budget
+
+    @pytest.mark.parametrize("offset", (-1, 0, 1))
+    def test_transpose_at_half_density(self, offset):
+        # The loop walks the zero bits once more than half of the bits are
+        # set: one bit below, at and above half of n * len(holders).
+        rng = random.Random(offset)
+        for n, count in ((1, 2), (2, 3), (6, 5), (8, 10), (13, 9), (64, 31)):
+            for _ in range(20):
+                ones = n * count // 2 + offset
+                if not 0 <= ones <= n * count:
+                    continue
+                bits = rng.sample(range(n * count), ones)
+                holders = [0] * count
+                for b in bits:
+                    holders[b // n] |= 1 << (b % n)
+                assert _transpose(holders, n) == transpose_reference(holders, n), (n, holders)
+
+
 class TestMilpOracle:
     # Past n = 12 brute force cannot check the value; a MILP can.
     def test_oracle_matches_bruteforce(self):
@@ -415,6 +459,26 @@ class TestMergedClasses:
         assert buckets == [(1, 0b001), (2, 0b100), (3, 0b010)]
         assert _merge([1, 7, 4, 3, 7]) == ([7, 3, 4, 1], [(1, 0b1110), (2, 0b0001)])
         assert _merge([4, 1, 2]) == ([4, 2, 1], [(1, 0b111)])
+
+    def test_merge_on_search_corpus(self):
+        # The 169 cores of the benchmark's seed-0 search corpus, drawn as
+        # perfbench/corpus.py draws them: the two stable sorts give the
+        # order of the one sort on (holder count, mask).
+        rng = random.Random("perfbench:search:0")
+        graphs = [gen.random_connected(17, 0.7, rng.randrange(2**31)) for _ in range(160)]
+        graphs += [gen.complete(k).graph for k in range(12, 17)]
+        graphs += [
+            gen.random_connected(n, p, rng.randrange(2**31))
+            for n, p in ((50, 0.12), (60, 0.10), (70, 0.08), (80, 0.08))
+        ]
+        for g in graphs:
+            holders = _em_holders(base_graph(g).graph)
+            assert _merge(holders) == merge_reference(holders)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, (1 << 12) - 1), min_size=1, max_size=60))
+    def test_merge_random_holders(self, holders):
+        assert _merge(holders) == merge_reference(holders)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_greedy_same_picks(self, family):
@@ -584,3 +648,23 @@ class TestLazyCertificate:
         monkeypatch.setattr(solvers, "_greedy_cover", lambda *a: real(*a)[:-1])
         with pytest.raises(AssertionError, match="uncovered"):
             dem_greedy(gen.petersen().graph)
+
+
+def _tree_with_core(n: int, seed: int):
+    """random_tree(n, seed) plus chords whose 2-core spans 6-8% of n, the
+    shape of the benchmark's large_core trees: a chord that would grow the
+    core past 8% is redrawn."""
+    rng = random.Random(seed)
+    edges = list(gen.random_tree(n, seed).edges())
+    lo, hi = int(0.06 * n), int(0.08 * n)
+    core = 0
+    while core < lo:
+        u, v = rng.sample(range(n), 2)
+        g = build_graph(n, edges + [(u, v)])
+        if g.m == len(edges):
+            continue
+        grown = base_graph(g).graph.n
+        if grown <= hi:
+            edges.append((u, v))
+            core = grown
+    return build_graph(n, edges)
