@@ -25,7 +25,7 @@ from .errors import (
     FormatError,
     IsTreeError,
 )
-from .graph import base_graph, is_tree
+from .graph import base_graph
 from .io import LoadedGraph, format_edgelist, load_edgelist, to_dot
 from .monitor import em_set, is_monitoring_set, p_set
 from .solvers import DEFAULT_BUDGET, dem_exact, dem_greedy
@@ -291,11 +291,12 @@ def cmd_bounds(args) -> int:
 def cmd_char(args) -> int:
     loaded = _load(args)
     out = {"target": args.target}
-    if args.target == 1:
-        tree = is_tree(loaded.graph)
-        _emit(args, loaded, out | {"is_tree": tree, "dem_is_1": tree})
-        return 0
+    # Every target needs a connected graph with a vertex: base_graph raises
+    # DisconnectedError (exit 3) or BadParameterError (exit 2) otherwise.
     base = base_graph(loaded.graph)
+    if args.target == 1:
+        _emit(args, loaded, out | {"is_tree": base.was_tree, "dem_is_1": base.was_tree})
+        return 0
     if base.was_tree:
         raise IsTreeError("tree input: the single-monitor characterization applies")
     gb, lift, back = base.graph, base.new_to_old, base.old_to_new

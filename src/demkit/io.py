@@ -30,12 +30,16 @@ class LoadedGraph:
         return self.labels[v] if self.labels is not None else v
 
     def resolve(self, token: str) -> int:
-        """Map an input token back to a vertex id."""
+        """Map an input token back to a vertex id.
+
+        On a labelled graph only a label names a vertex, so a number that is
+        no label is rejected rather than read as an internal id.
+        """
         if self.labels is not None:
             try:
                 return self.labels.index(token)
             except ValueError:
-                pass
+                raise FormatError(f"unknown vertex label {token!r}") from None
         try:
             v = int(token)
         except ValueError:

@@ -358,14 +358,11 @@ def p_set_size_zero_reason(g: Graph, monitors, e: tuple) -> PairSetZeroReason:
     ms = sorted(ps.monitors)
     if not ms:
         return PairSetZeroReason(empty_monitor_set=True, per_vertex={})
-    ends = _endpoint_distances(g, ps.edge)
-    du, dv = ends[0], ends[1]
-    per_vertex = {}
-    for x in ms:
-        if du[x] == dv[x]:
-            per_vertex[x] = "equidistant"
-        elif _held_far_end(ends, ps.edge, x) >= 0:
-            raise AssertionError("empty pair set but far endpoint distance changed")
-        else:
-            per_vertex[x] = "detour_preserves_distance"
+    # p_set adds (x, far end) for every monitor x that holds e, so none
+    # does: a monitor nearer one end keeps its distance to the other.
+    u, v = ps.edge
+    du, dv = _bfs(g, u), _bfs(g, v)
+    per_vertex = {
+        x: "equidistant" if du[x] == dv[x] else "detour_preserves_distance" for x in ms
+    }
     return PairSetZeroReason(empty_monitor_set=False, per_vertex=per_vertex)

@@ -149,29 +149,40 @@ def _cover_search(sets: list, incumbent: list, budget: int) -> tuple:
     test is uncovered & missing[idx], missing[idx] being the elements no
     set of index >= idx holds.
 
-    The include child is the next node visited, so only the exclude child
-    goes on the stack.  Tests that cannot fire are not made: an include
-    child passes the suffix test, since what its parent left uncovered
-    lies in sets[idx] | suffix_or[idx + 1], and an exclude child is no
-    cover, since its parent was none.  A popped exclude child keeps the
-    max_pop test, as limit can drop between a push and its pop.
+    There are two kinds of node, and one block of the loop tests each
+    kind.  The exclude block tests the root and every exclude child: it
+    checks the budget, counts the node, then runs the suffix test, the
+    max_pop test and the packing.  The include block tests include
+    children: the budget, the count, the cover check, the packing and the
+    max_pop test.  Tests that cannot fire are not made: an include child
+    passes the suffix test, since what its parent left uncovered lies in
+    sets[idx] | suffix_or[idx + 1], and an exclude child is no cover,
+    since its parent was none.  The include child is the next node
+    visited, so when one passes, its exclude sibling is pushed, the one
+    push of the loop, and the include block runs again on its own include
+    child.  A popped exclude child keeps the max_pop test because limit
+    can drop between its push and its pop.
 
     Most include children are pruned at once, so the search is mostly a
     scan along one chain of exclude children, and the scan runs in place.
-    When the include child of a node is pruned, the next node is that
-    node's exclude child, the top of the stack; it is taken directly,
-    with no push or pop.  It skips the max_pop test: it has its parent's
-    uncovered mask, depth and limit (no cover was found in between), and
-    its parent passed that test.  The include child runs its packing
-    first and counts its uncovered elements only when the packing passes:
-    a packing over at most room - 1 elements always passes, so it prunes
-    exactly the nodes that the max_pop test, then the packing when more
-    than room - 1 elements are left, would prune.  The ranges of room and
-    room - 1 steps and the include child's max_pop cap change only on a
-    descent, so a scan reads them once.  None of this changes which node
-    comes next, and each node is checked against the budget just before
-    it is counted, so the nodes, their order, the budget cut points and
-    the covers are those of the plain stack DFS.
+    When an include child is pruned, the next node is its exclude
+    sibling, which would be the top of the stack; the exclude block takes
+    it directly, with no push or pop.  Its max_pop test cannot fire then,
+    as it has its parent's uncovered mask, depth and limit.  When an
+    include child is a cover, limit drops to its parent's depth, and the
+    loop sets bound, the max_pop test's room * max_pop, to 0 and takes the
+    sibling in place too: with no room left it is always counted and then
+    pruned, as it was when it was
+    pushed and popped, so a cover pushes nothing.  The include child runs
+    its packing first and counts its uncovered elements only when the
+    packing passes: a packing over at most room - 1 elements always
+    passes, so it prunes exactly the nodes that the max_pop test, then the
+    packing when more than room - 1 elements are left, would prune.  The
+    ranges of room and room - 1 steps and the two max_pop bounds change
+    only on a descent, so a scan reads them once.  None of this changes
+    which node comes next, and each node is checked against the budget
+    just before it is counted, so the nodes, their order, the budget cut
+    points and the covers are those of the plain stack DFS.
 
     Include-first order meets equal-size covers in lexicographic order, and
     no branch holding an optimum is pruned while limit >= optimum, so the
@@ -214,79 +225,69 @@ def _cover_search(sets: list, incumbent: list, budget: int) -> tuple:
     nodes = 0
     stack = [(0, full, None, 0)]
     while stack:
-        # The root, or an exclude child pushed when its include sibling was
-        # a cover or passed its tests.
+        # The root, or an exclude child pushed when its include sibling
+        # passed its tests.
         idx, uncovered, chosen, depth = stack.pop()
-        if nodes == budget:
-            return covers, nodes, False
-        nodes += 1
-        if uncovered & missing[idx]:
-            continue
-        room = limit - depth
         left = uncovered.bit_count()
-        if left > room * max_pop:
-            continue
+        room = limit - depth
+        bound = room * max_pop
+        cap = bound - max_pop
         own = steps[room]
-        if left > room:
-            k = keep[idx]
-            rest = uncovered
-            for _ in own:
-                rest &= k[rest.bit_length()]
-            if rest:
-                continue
         sub = steps[room - 1]
-        cap = (room - 1) * max_pop
-        # A scan: the node (idx, uncovered, chosen, depth) has passed its
-        # tests, with room = limit - depth.
         while True:
-            # Its include child.
+            # An exclude child (idx, uncovered, chosen, depth), popped or
+            # taken in place.
             if nodes == budget:
                 return covers, nodes, False
             nodes += 1
-            inner = uncovered & without[idx]
-            if not inner:
-                cover = [idx]
-                link = chosen
-                while link:
-                    v, link = link
-                    cover.append(v)
-                covers.append(tuple(reversed(cover)))
-                limit = depth
-                stack.append((idx + 1, uncovered, chosen, depth))
-                break
-            k = keep[idx + 1]
-            rest = inner
-            for _ in sub:
-                rest &= k[rest.bit_length()]
-            if not rest:
-                count = inner.bit_count()
-                if count <= cap:
-                    # Not pruned: descend, its exclude sibling waits.
-                    stack.append((idx + 1, uncovered, chosen, depth))
-                    uncovered = inner
-                    chosen = (idx, chosen)
-                    depth += 1
-                    idx += 1
-                    left = count
-                    room -= 1
-                    own = sub
-                    sub = steps[room - 1]
-                    cap -= max_pop
-                    continue
-            # Pruned: its exclude sibling is the next node, taken in place;
-            # it reads the same row k of keep.
-            idx += 1
-            if nodes == budget:
-                return covers, nodes, False
-            nodes += 1
-            if uncovered & missing[idx]:
+            if uncovered & missing[idx] or left > bound:
                 break
             if left > room:
+                k = keep[idx]
                 rest = uncovered
                 for _ in own:
                     rest &= k[rest.bit_length()]
                 if rest:
                     break
+            while True:
+                # The include child of the node (idx, uncovered, chosen,
+                # depth), which has passed its tests.
+                if nodes == budget:
+                    return covers, nodes, False
+                nodes += 1
+                inner = uncovered & without[idx]
+                idx += 1
+                if not inner:
+                    cover = [idx - 1]
+                    link = chosen
+                    while link:
+                        v, link = link
+                        cover.append(v)
+                    covers.append(tuple(reversed(cover)))
+                    limit = depth
+                    bound = 0
+                    break
+                k = keep[idx]
+                rest = inner
+                for _ in sub:
+                    rest &= k[rest.bit_length()]
+                if rest:
+                    break
+                count = inner.bit_count()
+                if count > cap:
+                    break
+                # Not pruned: descend, its exclude sibling waits.
+                stack.append((idx, uncovered, chosen, depth))
+                uncovered = inner
+                chosen = (idx - 1, chosen)
+                depth += 1
+                left = count
+                room -= 1
+                bound = cap
+                cap -= max_pop
+                own = sub
+                sub = steps[room - 1]
+            # Its exclude sibling is the next node, taken in place.
     return covers, nodes, True
 
 

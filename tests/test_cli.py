@@ -197,6 +197,20 @@ class TestGenAndFiles:
         assert payload["monitor"] == "b"
         assert payload["edges"] == [["a", "b"], ["b", "c"]]
 
+    @pytest.mark.parametrize(
+        "text, vertex",
+        [("3 2\n2 1\n1 x\n", "0"), ("3 2\n10 20\n20 30\n", "1")],
+        ids=["mixed", "numeric"],
+    )
+    def test_number_that_is_no_label_exits_2(self, capsys, tmp_path, text, vertex):
+        # A labelled file names its vertices by label only: "0" and "1"
+        # are not internal ids there.
+        f = tmp_path / "lab.el"
+        f.write_text(text)
+        assert main(["em", str(f), "--vertex", vertex]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"unknown vertex label '{vertex}'" in err
+
     def test_ad_seeded(self, capsys):
         code, out1 = run_cli(capsys, "gen", "ad:3,2,1", "--seed", "5")
         code, out2 = run_cli(capsys, "gen", "ad:3,2,1", "--seed", "5")
@@ -247,6 +261,15 @@ class TestDeterminismAndErrors:
         for method in ("exact", "greedy", "both"):
             code, _ = run_cli(capsys, "dem", str(f), "--method", method)
             assert code == 3, method
+
+    def test_char_needs_a_connected_graph_at_every_target(self, capsys, tmp_path):
+        two_triangles = tmp_path / "disc.el"
+        two_triangles.write_text("6 6\n0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n")
+        empty = tmp_path / "empty.el"
+        empty.write_text("0 0\n")
+        for target in ("1", "2", "3"):
+            assert run_cli(capsys, "char", str(two_triangles), "--target", target) == (3, ""), target
+            assert run_cli(capsys, "char", str(empty), "--target", target) == (2, ""), target
 
     def test_two_sources_rejected(self, capsys, tmp_path):
         f = tmp_path / "g.el"

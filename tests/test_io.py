@@ -62,6 +62,20 @@ class TestParse:
         loaded = parse_edgelist("3 2\n5 1\n1 2\n")
         assert loaded.labels == ["5", "1", "2"]
 
+    def test_number_that_is_no_label_is_rejected(self):
+        # On a labelled graph a number names a vertex only as its label,
+        # never as the internal id; plain ids resolve as ids.
+        loaded = parse_edgelist("3 2\n2 1\n1 x\n")
+        assert loaded.labels == ["2", "1", "x"]
+        assert [loaded.resolve(t) for t in ("2", "1", "x")] == [0, 1, 2]
+        for token in ("0", "3", "01", "y"):
+            with pytest.raises(FormatError, match=f"unknown vertex label '{token}'"):
+                loaded.resolve(token)
+        plain = parse_edgelist("3 2\n0 1\n1 2\n")
+        assert plain.labels is None and plain.resolve("2") == 2
+        with pytest.raises(FormatError, match="vertex 3 outside 0..2"):
+            plain.resolve("3")
+
 
 class TestFormat:
     def test_canonical_sorting(self):

@@ -454,3 +454,16 @@ class TestZeroReason:
                     assert tags[x] == ("equidistant" if d[u] == d[v] else "detour_preserves_distance")
                 checked += 1
         assert checked >= 50
+
+    def test_two_bfs_after_p_set(self, monkeypatch):
+        # p_set's four endpoint BFS, then d(u, .) and d(v, .) for the tags;
+        # no monitor of an empty P(M, e) holds e, so none is swept.
+        g = gen.cycle(4).graph
+        calls = []
+        real = monitor._bfs
+        monkeypatch.setattr(
+            monitor, "_bfs", lambda g, s, **kw: calls.append((s, "skip" in kw)) or real(g, s, **kw)
+        )
+        r = p_set_size_zero_reason(g, [0, 3], (1, 2))
+        assert r.per_vertex == {0: "detour_preserves_distance", 3: "detour_preserves_distance"}
+        assert calls == [(1, False), (2, False), (1, True), (2, True), (1, False), (2, False)]

@@ -243,6 +243,19 @@ class TestCoverSearchParity:
         assert got == cover_search_reference(holders, incumbent, budget)
         assert len(got[0]) - 1 >= 4 and not got[2]
 
+    @pytest.mark.parametrize("budget", (25_588, 25_589, 25_590, 56_519, 56_520, 56_521))
+    def test_budget_ends_at_a_cover(self, budget):
+        # On this 60-vertex core the search finds its first two covers at
+        # nodes 25,589 and 56,520.  Each budget stops one node before a
+        # cover, at the cover, or at the cover's exclude sibling, which is
+        # taken in place and pruned.
+        g = gen.random_connected(60, 0.1, 1)
+        holders, buckets, sets, full = _cover_instance(base_graph(g).graph)
+        incumbent = _greedy_cover(sets, full, buckets)
+        got = _cover_search(sets, incumbent, budget)
+        assert got == cover_search_reference(holders, incumbent, budget)
+        assert len(got[0]) == 1 + (budget >= 25_589) + (budget >= 56_520)
+
     # Small cores whose whole search takes 7 to 287 nodes; the random ones
     # improve on greedy once or twice.
     SMALL = {
