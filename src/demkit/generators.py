@@ -8,6 +8,7 @@ talk about.  All constructors are deterministic under (parameters, seed).
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -258,11 +259,18 @@ def _validate_layered(inst: FamilyInstance, levels) -> None:
 
 
 def random_connected(n: int, edge_prob: float, seed: int) -> Graph:
-    """G(n, p) conditioned on connectivity by rejection; seed-deterministic."""
+    """G(n, p) conditioned on connectivity by rejection; seed-deterministic.
+
+    A p at which one sample almost surely has fewer than the n - 1 edges
+    a connected graph needs is rejected before any sampling.
+    """
     if n < 1:
         raise BadParameterError("need n >= 1")
     if not (0 < edge_prob <= 1):
         raise BadParameterError("edge probability must be in (0, 1]")
+    hopeless = f"could not sample a connected graph with n={n}, p={edge_prob}"
+    if _few_edges_log_bound(n, edge_prob) < _HOPELESS_LOG:
+        raise BadParameterError(hopeless)
     rng = random.Random(seed)
     pairs = list(combinations(range(n), 2))
     for _ in range(100_000):
@@ -272,9 +280,25 @@ def random_connected(n: int, edge_prob: float, seed: int) -> Graph:
         g = Graph(n, edges)
         if is_connected(g):
             return g
-    raise BadParameterError(
-        f"could not sample a connected graph with n={n}, p={edge_prob}"
-    )
+    raise BadParameterError(hopeless)
+
+
+_HOPELESS_LOG = math.log(1e-12)
+
+
+def _few_edges_log_bound(n: int, p: float) -> float:
+    """Log of a Chernoff upper bound on P(G(n, p) has at least n - 1 edges).
+
+    The edge count is Binomial(N, p) with N = n(n-1)/2 and mean mu = Np;
+    for a = n - 1 > mu, P(X >= a) <= exp(a - mu - a ln(a / mu)).  0 (a
+    bound of 1) when a <= mu.  Below 1e-12, even the 100,000 tries of
+    random_connected all fall short with probability above 1 - 1e-7.
+    """
+    a = n - 1
+    mu = n * (n - 1) / 2 * p
+    if a <= mu:
+        return 0.0
+    return a - mu - a * math.log(a / mu)
 
 
 def random_tree(n: int, seed: int) -> Graph:

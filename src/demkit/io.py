@@ -10,6 +10,7 @@ lexicographically by id.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .errors import FormatError
@@ -36,10 +37,10 @@ class LoadedGraph:
         no label is rejected rather than read as an internal id.
         """
         if self.labels is not None:
-            try:
-                return self.labels.index(token)
-            except ValueError:
-                raise FormatError(f"unknown vertex label {token!r}") from None
+            v = self._ids.get(token)
+            if v is None:
+                raise FormatError(f"unknown vertex label {token!r}")
+            return v
         try:
             v = int(token)
         except ValueError:
@@ -47,6 +48,19 @@ class LoadedGraph:
         if not (0 <= v < self.graph.n):
             raise FormatError(f"vertex {v} outside 0..{self.graph.n - 1}")
         return v
+
+    @cached_property
+    def _ids(self) -> dict:
+        return _label_ids(self.labels)
+
+
+def _label_ids(labels: list) -> dict:
+    """label -> id.  A label held twice (a token that reads like a synthetic
+    `_isolated<id>` label) maps to its first id, as list.index would."""
+    ids: dict = {}
+    for v, label in enumerate(labels):
+        ids.setdefault(label, v)
+    return ids
 
 
 def parse_edgelist(text: str) -> LoadedGraph:
@@ -121,6 +135,7 @@ def _map_labels(n: int, tokens: list):
 
 def _parse_roles(comments, labels, n):
     roles = {}
+    ids = None
     for c in comments:
         if "=" not in c:
             continue
@@ -130,8 +145,10 @@ def _parse_roles(comments, labels, n):
         if not key or key in _RESERVED_KEYS or " " in key:
             continue
         if labels is not None:
-            if value in labels:
-                roles[key] = labels.index(value)
+            if ids is None:
+                ids = _label_ids(labels)
+            if value in ids:
+                roles[key] = ids[value]
             continue
         try:
             v = int(value)

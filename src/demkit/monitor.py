@@ -55,16 +55,58 @@ class PairSet:
         }
 
 
-@dataclass(frozen=True)
 class MonitoringCertificate:
-    """Per-edge witnesses proving coverage, plus the edges left uncovered."""
+    """Per-edge witnesses proving coverage, plus the edges left uncovered.
 
-    witnesses: dict
-    uncovered: frozenset
+    witnesses maps each covered edge e to a pair (x, y): x is a monitor
+    with e in EM(x), and y a vertex whose distance from x changes in G-e.
+    Certificates compare by these two values.  is_monitoring_set builds
+    one from an edge's holder masks alone, which answer is_monitoring; the
+    uncovered edges and the witnesses are read off on first access, the
+    witnesses with one BFS sweep per witness monitor.
+    """
+
+    __slots__ = ("_is_monitoring", "_uncovered", "_witnesses", "_pass")
+
+    def __init__(self, witnesses: dict, uncovered: frozenset):
+        self._witnesses = witnesses
+        self._uncovered = uncovered
+        self._is_monitoring = not uncovered
+        self._pass = None
+
+    @classmethod
+    def _of_holders(cls, g: Graph, sources: list, holders: list) -> "MonitoringCertificate":
+        """The certificate of the monitors `sources`, from _em_holders(g, sources)."""
+        cert = cls.__new__(cls)
+        cert._witnesses = cert._uncovered = None
+        cert._is_monitoring = all(holders)
+        cert._pass = (g, sources, holders)
+        return cert
 
     @property
     def is_monitoring(self) -> bool:
-        return not self.uncovered
+        return self._is_monitoring
+
+    @property
+    def uncovered(self) -> frozenset:
+        if self._uncovered is None:
+            g, _, holders = self._pass
+            self._uncovered = frozenset(e for e, h in zip(g.edges(), holders) if not h)
+        return self._uncovered
+
+    @property
+    def witnesses(self) -> dict:
+        if self._witnesses is None:
+            self._witnesses = _witness_pairs(*self._pass)
+        return self._witnesses
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MonitoringCertificate):
+            return NotImplemented
+        return self.witnesses == other.witnesses and self.uncovered == other.uncovered
+
+    def __repr__(self) -> str:
+        return f"MonitoringCertificate(witnesses={self.witnesses!r}, uncovered={self.uncovered!r})"
 
     def to_json(self, label=lambda v: v) -> dict:
         return {
@@ -92,21 +134,28 @@ def em_set(g: Graph, x: int) -> EmSet:
     return EmSet(monitor=x, edges=edges)
 
 
-def _em_holders(g: Graph) -> list:
-    """For the i-th edge of g.edges(), the bitmask of the x with it in EM(x).
+def _em_holders(g: Graph, sources=None, what: str = "EM sets") -> list:
+    """For the i-th edge of g.edges(), the bitmask of the sources x with it
+    in EM(x).
 
-    em_set's unique-parent rule for every source at once, with one bit per
-    source, in two passes.
+    Bit i stands for sources[i], by default every vertex in id order.
+    em_set's unique-parent rule for every source at once, in two passes.
+    A disconnected graph raises DisconnectedError, naming `what`.
 
     Pass 1 is a multi-source BFS, level by level.  At level k, front[v]
     holds the sources at distance exactly k from v and unseen[v] those
     farther away; the sources new to v at level k go into r0[v] or r1[v]
     when k mod 3 is 0 or 1, and r2[v] is what those two leave.  A vertex
-    with no unseen source left drops out of the scan.  In a connected graph
-    every remaining vertex meets new sources at every level (the vertices
-    of a shortest path to an unseen source lie at every distance), so a
-    vertex that meets none means the graph is disconnected, and the scan
-    stops there.
+    with no unseen source left drops out of the scan.  One that meets no
+    new source at a level is parked: it can meet one at the next level
+    only through a neighbour that met one at this level, and that
+    neighbour wakes it.  In a connected graph a vertex u at distance k
+    from a source x meets x at level k, as its neighbour one step closer
+    to x met x at level k - 1 and so kept u in the scan or woke it.  With
+    every vertex a source no vertex is ever parked (on a shortest path to
+    an unseen source, the next vertex is a new source); with a few, a far
+    vertex is not rescanned at every level.  A scan that ends with a
+    vertex still parked means the graph is disconnected.
 
     Pass 2 reads the holders off the residues.  Seen from any source, the
     two ends of an edge lie at most one level apart, so distances mod 3
@@ -121,13 +170,21 @@ def _em_holders(g: Graph) -> list:
     """
     n = g.n
     adj = g._adj
-    full = (1 << n) - 1
-    front = [1 << v for v in range(n)]
+    if sources is None:
+        sources = range(n)
+    if not sources:
+        require_connected(g, what)
+    full = (1 << len(sources)) - 1
+    front = [0] * n
+    for i, x in enumerate(sources):
+        front[x] = 1 << i
     unseen = [full ^ f for f in front]
     r0 = front[:]
     r1 = [0] * n
     residue = (r0, r1, None)
-    active = list(range(n))
+    active = [v for v in range(n) if unseen[v]]
+    parked = [False] * n
+    asleep = 0
     level = 0
     while active:
         level += 1
@@ -139,17 +196,29 @@ def _em_holders(g: Graph) -> list:
             for w in adj[v]:
                 once |= front[w]
             new = once & unseen[v]
-            if not new:
-                require_connected(g, "EM sets")
-            nxt[v] = new
-            if r is not None:
-                r[v] |= new
-            rest = unseen[v] ^ new
-            unseen[v] = rest
-            if rest:
-                still.append(v)
+            if new:
+                nxt[v] = new
+                if r is not None:
+                    r[v] |= new
+                rest = unseen[v] ^ new
+                unseen[v] = rest
+                if rest:
+                    still.append(v)
+            else:
+                parked[v] = True
+                asleep += 1
+        if asleep:
+            for v in active:
+                if nxt[v]:
+                    for w in adj[v]:
+                        if parked[w]:
+                            parked[w] = False
+                            asleep -= 1
+                            still.append(w)
         front = nxt
         active = still
+    if asleep:
+        require_connected(g, what)
     front = nxt = unseen = None
     r2 = [full ^ a ^ b for a, b in zip(r0, r1)]
     # kept[v]: (r0, r1, r2, u0, u1, u2) of v.
@@ -287,42 +356,46 @@ def _dominators(g: Graph, order: list, dist: list, parent: list) -> list:
 def is_monitoring_set(g: Graph, monitors) -> MonitoringCertificate:
     """Check whether the union of EM(x) over x in M covers every edge.
 
-    Every covered edge e = (p, v) gets a witness pair (x, y): x is the
-    smallest monitor whose EM set holds e, and y is the smallest vertex
-    whose distance from x changes in G-e.  One BFS per monitor suffices.
-    Since p is v's only parent in the shortest-path DAG rooted at x, the
-    vertices that lose distance in G-e are exactly v's subtree in that
-    DAG's dominator tree, so y is the lowest id in the subtree.
-    verify_dem_result re-checks each witness definitionally (BFS on G-e).
+    One bit-parallel pass, _em_holders over the sorted monitors, gives
+    each edge the mask of the monitors whose EM set holds it; M monitors g
+    when no mask is zero, and that answer costs no further traversal.
+
+    Every covered edge e = (p, v) gets a witness pair (x, y), built on
+    the first read of the certificate's witnesses: x is the smallest
+    monitor whose EM set holds e, the lowest bit of e's mask, and y is the
+    smallest vertex whose distance from x changes in G-e.  One BFS sweep
+    per distinct witness monitor suffices.  Since p is v's only parent in
+    the shortest-path DAG rooted at x, the vertices that lose distance in
+    G-e are exactly v's subtree in that DAG's dominator tree, so y is the
+    lowest id in the subtree.  verify_dem_result re-checks each witness
+    definitionally (BFS on G-e).
     """
     ms = sorted(set(monitors))
     for x in ms:
         _check_vertex(g, x)
-    if not ms:
-        require_connected(g, "monitoring-set verification")
-    witnesses: dict = {}
-    for x in ms:
+    holders = _em_holders(g, ms, "monitoring-set verification")
+    return MonitoringCertificate._of_holders(g, ms, holders)
+
+
+def _witness_pairs(g: Graph, sources: list, holders: list) -> dict:
+    """is_monitoring_set's witness pairs, grouped by monitor in id order."""
+    by_bit: dict = {}
+    for e, h in zip(g.edges(), holders):
+        if h:
+            by_bit.setdefault((h & -h).bit_length() - 1, []).append(e)
+    witnesses = {}
+    for i in sorted(by_bit):
+        x = sources[i]
         order, dist, parent = _sweep(g, x)
-        if len(order) < g.n:
-            require_connected(g, "monitoring-set verification")
-        fresh = []
-        for v in order:
-            if parent[v] >= 0:
-                e = canonical_edge(v, parent[v])
-                if e not in witnesses:
-                    fresh.append((e, v))
-        if not fresh:
-            continue
         idom = _dominators(g, order, dist, parent)
         low = list(range(g.n))
         for v in reversed(order[1:]):
             d = idom[v]
             if low[v] < low[d]:
                 low[d] = low[v]
-        for e, v in sorted(fresh):
-            witnesses[e] = (x, low[v])
-    uncovered = frozenset(e for e in g.edges() if e not in witnesses)
-    return MonitoringCertificate(witnesses=witnesses, uncovered=uncovered)
+        for a, b in by_bit[i]:
+            witnesses[(a, b)] = (x, low[b if parent[b] == a else a])
+    return witnesses
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import re
 from pathlib import Path
 
@@ -68,6 +69,15 @@ class TestDemCommand:
         for spec in ("ad:x,2", "random:10,abc", "tree:x"):
             code, out = run_cli(capsys, "dem", "--gen", spec)
             assert code == 2 and out == "", spec
+
+    def test_hopeless_random_spec_exits_2_at_once(self, capsys, monkeypatch):
+        # One sample of G(30, 0.01) has the 29 edges a connected graph
+        # needs with probability under 1e-13, so no sample is drawn.
+        monkeypatch.setattr(random.Random, "random", lambda self: pytest.fail("sampled"))
+        code = main(["dem", "--gen", "random:30,0.01"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "could not sample a connected graph with n=30, p=0.01" in captured.err
 
     def test_no_timing_in_output(self, capsys):
         _, payload = run_json(capsys, "dem", "--gen", "cycle:5")

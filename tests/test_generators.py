@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from demkit import BadParameterError, bridges, em_set, em_set_naive, is_connected, is_tree, p_set
@@ -194,6 +196,19 @@ class TestRandomGenerators:
             t = gen.random_tree(n, seed=5)
             assert is_tree(t)
         assert gen.random_tree(10, seed=7) == gen.random_tree(10, seed=7)
+
+    def test_few_edges_bound_is_an_upper_bound(self):
+        # Against the exact tail P(Binomial(N, p) >= n - 1), N = n(n-1)/2.
+        for n, p in ((2, 1e-13), (10, 0.01), (30, 0.01), (30, 0.02), (60, 0.005), (13, 0.4)):
+            big_n, a = n * (n - 1) // 2, n - 1
+            tail = sum(
+                math.exp(
+                    math.lgamma(big_n + 1) - math.lgamma(k + 1) - math.lgamma(big_n - k + 1)
+                    + k * math.log(p) + (big_n - k) * math.log1p(-p)
+                )
+                for k in range(a, big_n + 1)
+            )
+            assert tail <= math.exp(gen._few_edges_log_bound(n, p)) * (1 + 1e-9), (n, p)
 
     def test_bad_probability(self):
         with pytest.raises(BadParameterError):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,6 +77,19 @@ class TestParse:
         assert plain.labels is None and plain.resolve("2") == 2
         with pytest.raises(FormatError, match="vertex 3 outside 0..2"):
             plain.resolve("3")
+
+    def test_labels_resolve_like_list_index(self):
+        # A path on 2,000 labelled vertices, named in a shuffled order.
+        n = 2000
+        names = [f"v{i}" for i in random.Random(8).sample(range(n), n)]
+        body = "".join(f"{a} {b}\n" for a, b in zip(names, names[1:]))
+        loaded = parse_edgelist(f"# hub={names[1234]}\n{n} {n - 1}\n{body}")
+        assert [loaded.resolve(t) for t in names] == [loaded.labels.index(t) for t in names]
+        assert loaded.roles == {"hub": 1234}
+        # A token that reads like a synthetic label names its first holder.
+        loaded = parse_edgelist("# hub=_isolated3\n4 1\na _isolated3\n")
+        assert loaded.labels == ["a", "_isolated3", "_isolated2", "_isolated3"]
+        assert loaded.resolve("_isolated3") == 1 == loaded.roles["hub"]
 
 
 class TestFormat:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from demkit import (
     DisconnectedError,
+    MonitoringCertificate,
     NotZeroError,
     bridges,
     build_graph,
@@ -208,6 +209,82 @@ class TestEmHolders:
             _em_holders(g)
 
 
+def compacted(holders, sources):
+    """Vertex-indexed holder masks cut down to `sources`: bit i for sources[i]."""
+    return [sum(1 << i for i, x in enumerate(sources) if h >> x & 1) for h in holders]
+
+
+def source_corpus():
+    graphs = [
+        g
+        for i, p in enumerate((0.1, 0.2, 0.4, 0.6))
+        for g in random_connected_graphs(40, 2, 30, seed=505 + i, p_lo=p, p_hi=p)
+    ]
+    graphs += [gen.grid(p, q).graph for p, q in ((2, 2), (3, 7), (6, 6), (9, 9))]
+    graphs += [gen.cycle(n).graph for n in (3, 4, 9, 16, 31, 40)]
+    graphs += [gen.hypercube(d).graph for d in range(1, 6)]
+    return graphs
+
+
+class TestEmHolderSources:
+    """_em_holders over a list of sources, bit i standing for sources[i]."""
+
+    def test_subsets_match_reference(self):
+        rng = random.Random(23)
+        for g in source_corpus():
+            want = em_holders_reference(g)
+            subsets = [list(range(g.n)), [rng.randrange(g.n)]]
+            # rng.sample keeps its draw order, so bits need not follow ids.
+            subsets += [rng.sample(range(g.n), rng.randint(1, g.n)) for _ in range(4)]
+            for sources in subsets:
+                assert _em_holders(g, sources) == compacted(want, sources), (g, sources)
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_graph_strategy(min_n=1, max_n=30), st.data())
+    def test_subsets_match_reference_property(self, g, data):
+        sources = data.draw(st.lists(st.integers(0, g.n - 1), unique=True, max_size=g.n))
+        assert _em_holders(g, sources) == compacted(em_holders_reference(g), sources)
+
+    def test_no_sources(self):
+        g = gen.petersen().graph
+        assert _em_holders(g, []) == [0] * g.m
+        assert _em_holders(build_graph(0, []), []) == []
+
+    @pytest.mark.parametrize("g,sources", [
+        (gen.path(2000).graph, [0]),
+        (gen.cycle(2000).graph, [0, 1000]),
+        (gen.grid(40, 40).graph, [0, 1599]),
+    ])
+    def test_far_vertices_are_not_rescanned(self, g, sources):
+        # A vertex that meets no new source waits for a neighbour that
+        # does, so a few sources cost a few adjacency reads per vertex, not
+        # one per vertex and level (2,000,000 on the path).
+        reads = []
+
+        class Counted(tuple):
+            def __getitem__(self, v):
+                reads.append(v)
+                return tuple.__getitem__(self, v)
+
+        want = _em_holders(g, sources)
+        g._adj = Counted(g._adj)
+        assert _em_holders(g, sources) == want
+        assert len(reads) <= 10 * len(sources) * g.n
+
+    def test_disconnected_rejected_for_any_sources(self):
+        # A 10-cycle and a 6-path: a source on the cycle reaches every
+        # cycle vertex over five levels before the scan finds that no
+        # vertex of the path ever meets it.
+        edges = [(i, (i + 1) % 10) for i in range(10)]
+        edges += [(10 + i, 11 + i) for i in range(5)]
+        g = build_graph(17, edges)  # vertex 16 is isolated
+        for sources in ([], [0], [12], [16], [0, 12], [16, 3], list(range(17))):
+            with pytest.raises(DisconnectedError, match="^EM sets requires a connected graph"):
+                _em_holders(g, sources)
+        with pytest.raises(DisconnectedError, match="^why requires a connected graph"):
+            _em_holders(g, [5], "why")
+
+
 class TestEmSetInvariants:
     @pytest.mark.parametrize("name,g", family_graphs(max_n=12))
     def test_family_invariants(self, name, g):
@@ -266,7 +343,10 @@ class TestMonitoringSet:
         # Triangle plus an isolated vertex, and two disjoint edges.
         for g in (build_graph(4, [(0, 1), (1, 2), (0, 2)]), build_graph(4, [(0, 1), (2, 3)])):
             for monitors in ([], [0], [3], [0, 3], list(range(4))):
-                with pytest.raises(DisconnectedError):
+                with pytest.raises(
+                    DisconnectedError,
+                    match="^monitoring-set verification requires a connected graph; found 2 ",
+                ):
                     is_monitoring_set(g, monitors)
 
     def test_witnesses_definitional(self):
@@ -305,6 +385,63 @@ class TestMonitoringSet:
         naive = certificate_naive(g, monitors)
         assert cert.witnesses == naive.witnesses
         assert cert.uncovered == naive.uncovered
+
+    def lazy_cases(self):
+        yield gen.petersen().graph, [0, 5, 7]
+        yield gen.hypercube(4).graph, []
+        yield gen.grid(6, 6).graph, [0, 35]
+        for g in random_connected_graphs(6, 10, 25, seed=77, p_lo=0.15, p_hi=0.4):
+            yield g, range(0, g.n, 3)
+
+    @staticmethod
+    def count_sweeps(monkeypatch) -> list:
+        sweeps = []
+        real = monitor._sweep
+        monkeypatch.setattr(monitor, "_sweep", lambda g, *s: sweeps.append(s) or real(g, *s))
+        return sweeps
+
+    def test_is_monitoring_runs_no_sweep(self, monkeypatch):
+        sweeps = self.count_sweeps(monkeypatch)
+        g = gen.grid(20, 20).graph
+        assert is_monitoring_set(g, range(g.n)).is_monitoring
+        assert not is_monitoring_set(g, [0, 399]).is_monitoring
+        for g, monitors in self.lazy_cases():
+            cert = is_monitoring_set(g, monitors)
+            naive = certificate_naive(g, monitors)
+            assert cert.is_monitoring == naive.is_monitoring
+            assert cert.uncovered == naive.uncovered
+        assert sweeps == []
+
+    def test_witnesses_sweep_each_witness_monitor_once(self, monkeypatch):
+        sweeps = self.count_sweeps(monkeypatch)
+        for g, monitors in self.lazy_cases():
+            naive = certificate_naive(g, monitors)
+            cert = is_monitoring_set(g, monitors)
+            sweeps.clear()
+            assert list(cert.witnesses.items()) == list(naive.witnesses.items())
+            assert cert.witnesses is cert.witnesses
+            assert sweeps == sorted({(x,) for x, _ in naive.witnesses.values()})
+        # grid20x20: every vertex a monitor, 39 distinct smallest holders.
+        g = gen.grid(20, 20).graph
+        for monitors, witnessed, witness_monitors in ((range(400), 760, 39), ([0, 399], 76, 2)):
+            cert = is_monitoring_set(g, monitors)
+            sweeps.clear()
+            assert len(cert.witnesses) == witnessed
+            assert len(cert.uncovered) == 760 - witnessed
+            assert len(sweeps) == witness_monitors
+
+    def test_certificate_values(self):
+        g = gen.complete(4).graph
+        cert = is_monitoring_set(g, [0, 1])
+        built = MonitoringCertificate(witnesses=dict(cert.witnesses), uncovered=cert.uncovered)
+        assert built == cert and cert == built
+        assert not built.is_monitoring and built.to_json() == cert.to_json()
+        assert repr(built) == repr(cert)
+        assert cert != MonitoringCertificate(witnesses={}, uncovered=frozenset(g.edges()))
+        assert cert != is_monitoring_set(g, [0, 2])
+        for name in ("witnesses", "uncovered", "is_monitoring"):
+            with pytest.raises(AttributeError):
+                setattr(cert, name, None)
 
     def test_certificate_json_shape(self):
         cert = is_monitoring_set(gen.complete(3).graph, [0])
