@@ -3,8 +3,9 @@
 Subcommands: dem, em, pset, verify, bounds, char, gen.  Output formats are
 json (default), csv, dot, and text; identical inputs, flags, and seeds
 produce byte-identical output (solver wall-time is therefore omitted from
-reports).  Exit codes: 0 ok, 2 parse/parameter error, 3 disconnected input,
-4 solver budget exhausted (partial output is still emitted).
+reports).  Exit codes: 0 ok, 2 parse/parameter error or an input too large
+for memory, 3 disconnected input, 4 solver budget exhausted (partial output
+is still emitted).
 """
 
 from __future__ import annotations
@@ -364,6 +365,9 @@ def main(argv=None) -> int:
         return 3
     except DemkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: input too large for the available memory", file=sys.stderr)
         return 2
 
 

@@ -51,16 +51,13 @@ class LoadedGraph:
 
     @cached_property
     def _ids(self) -> dict:
-        return _label_ids(self.labels)
-
-
-def _label_ids(labels: list) -> dict:
-    """label -> id.  A label held twice (a token that reads like a synthetic
-    `_isolated<id>` label) maps to its first id, as list.index would."""
-    ids: dict = {}
-    for v, label in enumerate(labels):
-        ids.setdefault(label, v)
-    return ids
+        """label -> id.  A label held twice (a token that reads like a
+        synthetic `_isolated<id>` label) maps to its first id, as
+        list.index would."""
+        ids: dict = {}
+        for v, label in enumerate(self.labels):
+            ids.setdefault(label, v)
+        return ids
 
 
 def parse_edgelist(text: str) -> LoadedGraph:
@@ -96,9 +93,9 @@ def parse_edgelist(text: str) -> LoadedGraph:
         tokens += parts
 
     labels, id_edges = _map_labels(n, tokens)
-    graph = Graph(n, id_edges)
-    roles = _parse_roles(comments, labels, n)
-    return LoadedGraph(graph=graph, labels=labels, roles=roles)
+    loaded = LoadedGraph(graph=Graph(n, id_edges), labels=labels)
+    loaded.roles = _parse_roles(comments, loaded)
+    return loaded
 
 
 def _map_labels(n: int, tokens: list):
@@ -133,29 +130,22 @@ def _map_labels(n: int, tokens: list):
     return labels, list(zip(ids[::2], ids[1::2]))
 
 
-def _parse_roles(comments, labels, n):
+def _parse_roles(comments, loaded: LoadedGraph) -> dict:
+    """The `key=value` comments whose value names a vertex of `loaded`, as
+    LoadedGraph.resolve reads it: key -> id.  Reserved keys, keys with a
+    space and values that name no vertex are skipped."""
     roles = {}
-    ids = None
     for c in comments:
         if "=" not in c:
             continue
         key, _, value = c.partition("=")
         key = key.strip()
-        value = value.strip()
         if not key or key in _RESERVED_KEYS or " " in key:
             continue
-        if labels is not None:
-            if ids is None:
-                ids = _label_ids(labels)
-            if value in ids:
-                roles[key] = ids[value]
-            continue
         try:
-            v = int(value)
-        except ValueError:
+            roles[key] = loaded.resolve(value.strip())
+        except FormatError:
             continue
-        if 0 <= v < n:
-            roles[key] = v
     return roles
 
 

@@ -61,43 +61,36 @@ class MonitoringCertificate:
     witnesses maps each covered edge e to a pair (x, y): x is a monitor
     with e in EM(x), and y a vertex whose distance from x changes in G-e.
     Certificates compare by these two values.  is_monitoring_set builds
-    one from an edge's holder masks alone, which answer is_monitoring; the
-    uncovered edges and the witnesses are read off on first access, the
+    one from holders = _em_holders(g, sources), the holder masks of its
+    monitors `sources`.  They alone answer is_monitoring; the uncovered
+    edges and the witnesses are read off them on first access, the
     witnesses with one BFS sweep per witness monitor.
     """
 
-    __slots__ = ("_is_monitoring", "_uncovered", "_witnesses", "_pass")
+    __slots__ = ("_g", "_sources", "_holders", "_uncovered", "_witnesses")
 
-    def __init__(self, witnesses: dict, uncovered: frozenset):
-        self._witnesses = witnesses
-        self._uncovered = uncovered
-        self._is_monitoring = not uncovered
-        self._pass = None
-
-    @classmethod
-    def _of_holders(cls, g: Graph, sources: list, holders: list) -> "MonitoringCertificate":
-        """The certificate of the monitors `sources`, from _em_holders(g, sources)."""
-        cert = cls.__new__(cls)
-        cert._witnesses = cert._uncovered = None
-        cert._is_monitoring = all(holders)
-        cert._pass = (g, sources, holders)
-        return cert
+    def __init__(self, g: Graph, sources: list, holders: list):
+        self._g = g
+        self._sources = sources
+        self._holders = holders
+        self._uncovered = self._witnesses = None
 
     @property
     def is_monitoring(self) -> bool:
-        return self._is_monitoring
+        return all(self._holders)
 
     @property
     def uncovered(self) -> frozenset:
         if self._uncovered is None:
-            g, _, holders = self._pass
-            self._uncovered = frozenset(e for e, h in zip(g.edges(), holders) if not h)
+            self._uncovered = frozenset(
+                e for e, h in zip(self._g.edges(), self._holders) if not h
+            )
         return self._uncovered
 
     @property
     def witnesses(self) -> dict:
         if self._witnesses is None:
-            self._witnesses = _witness_pairs(*self._pass)
+            self._witnesses = _witness_pairs(self._g, self._sources, self._holders)
         return self._witnesses
 
     def __eq__(self, other) -> bool:
@@ -266,15 +259,16 @@ def p_set(g: Graph, monitors, e: tuple) -> PairSet:
     A target that deletion disconnects from its monitor counts as changed
     (finite -> unreachable is a distance change).
 
-    Only a monitor that holds e contributes: one for which deleting e = (u, v)
-    changes its distance to the far endpoint.  One closer to u than to v
-    holds e exactly when u is v's only parent in its shortest-path DAG; any
-    other shortest path through e could reach v another way.  Four BFS from
-    the endpoints, in G and in G-e, find every holder at once, since
-    d(x, v) = d(v, x).  For a holder x, the targets whose distance changes
-    are the far endpoint's subtree in the dominator tree of x's DAG, read
-    off one more sweep from x.  So the cost is O((4 + h)(n + m)) for h
-    holders, not the 2|M| BFS of the definition.
+    Only a monitor that holds e contributes: one for which deleting e
+    changes its distance to the far endpoint.  Deleting e = (u, v) never
+    changes d(x, nearer end), and leaves both ends' distances alone when x
+    is as far from both or reaches neither; so x holds e exactly when
+    d(x, u) or d(x, v) changes in G-e, and the end that changes is the far
+    end.  Four BFS from the endpoints, in G and in G-e, find every holder
+    at once, since d(x, v) = d(v, x).  For a holder x, the targets whose
+    distance changes are the far endpoint's subtree in the dominator tree
+    of x's shortest-path DAG, read off one more sweep from x.  So the cost
+    is O((4 + h)(n + m)) for h holders, not the 2|M| BFS of the definition.
     """
     u, v = e
     if not g.has_edge(u, v):
@@ -282,15 +276,15 @@ def p_set(g: Graph, monitors, e: tuple) -> PairSet:
     ms = set(monitors)
     for x in ms:
         _check_vertex(g, x)
-    edge = canonical_edge(u, v)
-    ends = _endpoint_distances(g, edge)
+    u, v = edge = canonical_edge(u, v)
+    du, dv = _bfs(g, u), _bfs(g, v)
+    du_after, dv_after = _bfs(g, u, skip=edge), _bfs(g, v, skip=edge)
     pairs = set()
     for x in sorted(ms):
-        far = _held_far_end(ends, edge, x)
+        far = v if dv_after[x] != dv[x] else u if du_after[x] != du[x] else -1
         if far < 0:
             continue
-        order, dist, parent = _sweep(g, x)
-        idom = _dominators(g, order, dist, parent)
+        order, _, idom = _dominators(g, x)
         inside = [False] * g.n
         inside[far] = True
         pairs.add((x, far))
@@ -301,29 +295,9 @@ def p_set(g: Graph, monitors, e: tuple) -> PairSet:
     return PairSet(monitors=frozenset(ms), edge=edge, pairs=frozenset(pairs))
 
 
-def _endpoint_distances(g: Graph, edge: tuple) -> tuple:
-    """d(u, .) and d(v, .) in G, then the same in G-e, for e = (u, v)."""
-    u, v = edge
-    return _bfs(g, u), _bfs(g, v), _bfs(g, u, skip=edge), _bfs(g, v, skip=edge)
-
-
-def _held_far_end(ends: tuple, edge: tuple, x: int) -> int:
-    """The endpoint of e farther from x when x holds e, else -1.
-
-    -1 also when x is as far from both ends (or reaches neither): then no
-    shortest path from x runs through e.
-    """
-    du, dv, du_after, dv_after = ends
-    if du[x] == dv[x]:
-        return -1
-    u, v = edge
-    if du[x] < dv[x]:
-        return v if dv_after[x] != dv[x] else -1
-    return u if du_after[x] != du[x] else -1
-
-
-def _dominators(g: Graph, order: list, dist: list, parent: list) -> list:
-    """Immediate dominators in the shortest-path DAG of one _sweep.
+def _dominators(g: Graph, x: int) -> tuple:
+    """(order, parent, idom) of the shortest-path DAG rooted at x: the visit
+    order and unique parents of _sweep(g, x), and the immediate dominators.
 
     Built in BFS order: a vertex with one parent hangs below it; one with
     several hangs below their nearest common dominator, found by walking up
@@ -331,6 +305,7 @@ def _dominators(g: Graph, order: list, dist: list, parent: list) -> list:
     the source, so the farther one, or either on a tie, cannot be it).  The
     source and unreached vertices keep -1.
     """
+    order, dist, parent = _sweep(g, x)
     adj = g._adj
     idom = parent[:]
     for v in order[1:]:
@@ -350,7 +325,7 @@ def _dominators(g: Graph, order: list, dist: list, parent: list) -> list:
                 else:
                     w = idom[w]
         idom[v] = a
-    return idom
+    return order, parent, idom
 
 
 def is_monitoring_set(g: Graph, monitors) -> MonitoringCertificate:
@@ -374,7 +349,7 @@ def is_monitoring_set(g: Graph, monitors) -> MonitoringCertificate:
     for x in ms:
         _check_vertex(g, x)
     holders = _em_holders(g, ms, "monitoring-set verification")
-    return MonitoringCertificate._of_holders(g, ms, holders)
+    return MonitoringCertificate(g, ms, holders)
 
 
 def _witness_pairs(g: Graph, sources: list, holders: list) -> dict:
@@ -386,8 +361,7 @@ def _witness_pairs(g: Graph, sources: list, holders: list) -> dict:
     witnesses = {}
     for i in sorted(by_bit):
         x = sources[i]
-        order, dist, parent = _sweep(g, x)
-        idom = _dominators(g, order, dist, parent)
+        order, parent, idom = _dominators(g, x)
         low = list(range(g.n))
         for v in reversed(order[1:]):
             d = idom[v]

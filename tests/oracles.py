@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations
+from typing import NamedTuple
 
 from demkit import (
     BadParameterError,
@@ -30,7 +31,7 @@ from demkit import (
 )
 from demkit.graph import Graph, _bfs, _check_vertex, canonical_edge, require_connected
 from demkit.io import LoadedGraph, _parse_roles
-from demkit.monitor import MonitoringCertificate, PairSet
+from demkit.monitor import PairSet
 
 
 def relaxation_distances(g: Graph, source: int, skip=None):
@@ -125,7 +126,18 @@ def brute_minimum_via_certificates(g: Graph):
     raise AssertionError("vertex set itself must monitor a connected graph")
 
 
-def certificate_naive(g: Graph, monitors) -> MonitoringCertificate:
+class NaiveCertificate(NamedTuple):
+    """The witnesses and uncovered edges of certificate_naive."""
+
+    witnesses: dict
+    uncovered: frozenset
+
+    @property
+    def is_monitoring(self) -> bool:
+        return not self.uncovered
+
+
+def certificate_naive(g: Graph, monitors) -> NaiveCertificate:
     """is_monitoring_set by definition: a BFS on G-e per monitor and edge.
 
     Each edge is witnessed by the smallest monitor whose distances change
@@ -142,7 +154,7 @@ def certificate_naive(g: Graph, monitors) -> MonitoringCertificate:
             if after != before:
                 witnesses[e] = (x, next(y for y in range(g.n) if after[y] != before[y]))
     uncovered = frozenset(e for e in g.edges() if e not in witnesses)
-    return MonitoringCertificate(witnesses=witnesses, uncovered=uncovered)
+    return NaiveCertificate(witnesses=witnesses, uncovered=uncovered)
 
 
 def enumerate_simple_cycles(g: Graph, cap: int = 20_000):
@@ -750,6 +762,6 @@ def parse_edgelist_reference(text: str) -> LoadedGraph:
             raise FormatError(f"edge line must be 'u v', got {line!r}")
         raw_edges.append((parts[0], parts[1]))
     labels, id_edges = _map_labels_reference(n, raw_edges)
-    graph = graph_reference(n, id_edges)
-    roles = _parse_roles(comments, labels, n)
-    return LoadedGraph(graph=graph, labels=labels, roles=roles)
+    loaded = LoadedGraph(graph=graph_reference(n, id_edges), labels=labels)
+    loaded.roles = _parse_roles(comments, loaded)
+    return loaded

@@ -2,8 +2,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import demkit
 from demkit.cli import FORMATS, _build_parser, main
 from demkit.io import parse_edgelist
 
@@ -264,6 +268,29 @@ class TestDeterminismAndErrors:
             code = main([*argv, "--output", str(tmp_path)])
             assert code == 2, argv
             assert "cannot write" in capsys.readouterr().err
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+    def test_out_of_memory_exit2(self):
+        # A 200,000-vertex cycle outgrows 1 GiB of address space in the EM
+        # pass; the limit is set in the child only.
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = str(Path(demkit.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "demkit", "dem", "--gen", "cycle:200000"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            preexec_fn=limit,
+            timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
 
     def test_disconnected_exit3(self, capsys, tmp_path):
         f = tmp_path / "disc.el"

@@ -91,6 +91,52 @@ class TestParse:
         assert loaded.labels == ["a", "_isolated3", "_isolated2", "_isolated3"]
         assert loaded.resolve("_isolated3") == 1 == loaded.roles["hub"]
 
+    @pytest.mark.parametrize(
+        "comment,roles",
+        [
+            ("hub=+1", {"hub": 1}),
+            ("hub=٣", {"hub": 3}),
+            ("hub=04", {"hub": 4}),
+            ("hub = 2", {"hub": 2}),
+            ("hub=-1", {}),
+            ("hub=5", {}),
+            ("hub=1_0", {}),
+            ("hub=", {}),
+            ("hub", {}),
+            ("=1", {}),
+            ("a b=1", {}),
+            ("family=1", {}),
+            ("params=1", {}),
+            ("seed=1", {}),
+        ],
+    )
+    def test_role_values_on_ids(self, comment, roles):
+        # An id role is read as int() reads it, in range; reserved keys,
+        # keys with a space and values naming no vertex are dropped.
+        assert parse_edgelist(f"# {comment}\n5 4\n0 1\n1 2\n2 3\n3 4\n").roles == roles
+
+    @pytest.mark.parametrize(
+        "text,roles",
+        [
+            ("# hub=2\n3 2\n2 1\n1 x\n", {"hub": 0}),
+            ("# hub=x\n3 2\n2 1\n1 x\n", {"hub": 2}),
+            ("# hub=0\n3 2\n2 1\n1 x\n", {}),
+            ("# hub=3\n3 2\n2 1\n1 x\n", {}),
+            ("# hub=02\n3 2\n2 1\n1 x\n", {}),
+            ("# hub=_isolated3\n4 1\na b\n", {"hub": 3}),
+            ("# hub=_isolated1\n4 1\na b\n", {}),
+            ("# hub=3\n4 1\na b\n", {}),
+        ],
+    )
+    def test_role_values_on_labels(self, text, roles):
+        # On a labelled graph a role names a vertex only by its label: a
+        # number that is no label is dropped, not read as an id.
+        assert parse_edgelist(text).roles == roles
+
+    def test_later_role_wins_unless_dropped(self):
+        text = "# hub=1\n# hub=9\n# rim=4\n# hub=2\n5 4\n0 1\n1 2\n2 3\n3 4\n"
+        assert parse_edgelist(text).roles == {"hub": 2, "rim": 4}
+
 
 class TestFormat:
     def test_canonical_sorting(self):

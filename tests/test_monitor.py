@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from demkit import (
     DisconnectedError,
-    MonitoringCertificate,
     NotZeroError,
     bridges,
     build_graph,
@@ -433,11 +432,16 @@ class TestMonitoringSet:
     def test_certificate_values(self):
         g = gen.complete(4).graph
         cert = is_monitoring_set(g, [0, 1])
-        built = MonitoringCertificate(witnesses=dict(cert.witnesses), uncovered=cert.uncovered)
+        # The same monitors, listed in another order with a repeat, on an
+        # equal graph: another certificate, equal by value.
+        built = is_monitoring_set(gen.complete(4).graph, [1, 0, 1])
+        assert built is not cert
         assert built == cert and cert == built
         assert not built.is_monitoring and built.to_json() == cert.to_json()
         assert repr(built) == repr(cert)
-        assert cert != MonitoringCertificate(witnesses={}, uncovered=frozenset(g.edges()))
+        empty = is_monitoring_set(g, [])
+        assert (empty.witnesses, empty.uncovered) == ({}, frozenset(g.edges()))
+        assert cert != empty
         assert cert != is_monitoring_set(g, [0, 2])
         for name in ("witnesses", "uncovered", "is_monitoring"):
             with pytest.raises(AttributeError):

@@ -1,11 +1,12 @@
 """Laws of the pair sets P(M, e): monotonicity, disjointness, fiber
-distinctness, global and cut-edge bounds, and the complete-graph fibers."""
+distinctness, global and cut-edge bounds, the holder law, and the
+complete-graph fibers."""
 
 import random
 
 import pytest
 
-from demkit import bridges, dem_greedy, p_set
+from demkit import bridges, build_graph, dem_greedy, p_set
 from demkit import generators as gen
 from demkit.graph import _bfs
 
@@ -101,6 +102,32 @@ class TestLaws:
                 assert size == 2 * n1 * n2
                 assert (size == 2 * (n // 2) * ((n + 1) // 2)) == (abs(n1 - n2) <= 1)
         assert seen_cut_edge
+
+    def test_holder_law(self):
+        # Deleting e = (u, v) changes at most one of d(x, u) and d(x, v),
+        # never the nearer one: p_set reads the far end off this.  The
+        # disjoint unions of corpus neighbours are disconnected.
+        graphs = self._corpus()
+        graphs += [
+            build_graph(a.n + b.n, [*a.edges(), *((p + a.n, q + a.n) for p, q in b.edges())])
+            for a, b in zip(graphs[::2], graphs[1::2])
+        ]
+        seen = {"u": 0, "v": 0, "none": 0, "unreached": 0}
+        for g in graphs:
+            for e in g.edges():
+                u, v = e
+                du, dv = _bfs(g, u), _bfs(g, v)
+                du_after, dv_after = _bfs(g, u, skip=e), _bfs(g, v, skip=e)
+                for x in range(g.n):
+                    u_moved, v_moved = du_after[x] != du[x], dv_after[x] != dv[x]
+                    assert not (u_moved and v_moved), (g, e, x)
+                    if u_moved:
+                        assert du[x] > dv[x], (g, e, x)
+                    if v_moved:
+                        assert dv[x] > du[x], (g, e, x)
+                    seen["u" if u_moved else "v" if v_moved else "none"] += 1
+                    seen["unreached"] += du[x] < 0
+        assert all(seen.values()), seen
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_complete_graph_fibers(self, n):
