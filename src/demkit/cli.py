@@ -42,10 +42,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_input=True):
-        if with_input:
-            p.add_argument("input", nargs="?", help="edge-list file")
-            p.add_argument("--gen", help="generator spec, e.g. complete:7 or grid:4,4")
+    def add_common(p):
+        p.add_argument("input", nargs="?", help="edge-list file")
+        p.add_argument("--gen", help="generator spec, e.g. complete:7 or grid:4,4")
         p.add_argument("--format", choices=FORMATS, default="json")
         p.add_argument("--output", help="write to file instead of stdout")
         p.add_argument("--seed", type=int, default=0)
@@ -209,7 +208,7 @@ def _emit(args, loaded: LoadedGraph, body: dict, **dot_hints) -> None:
     elif args.format == "text":
         text = _to_text(payload)
     else:
-        text = to_dot(loaded.graph, labels=loaded.labels, **dot_hints)
+        text = to_dot(loaded.graph, label=loaded.label, **dot_hints)
     _write(args.output, text)
 
 

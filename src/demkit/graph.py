@@ -7,7 +7,6 @@ function of its inputs.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -68,7 +67,7 @@ class Graph:
     duplicate edge pairs.  Adjacency lists are kept sorted.
     """
 
-    __slots__ = ("n", "_adj", "_m", "_hash")
+    __slots__ = ("n", "_adj", "_m")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -90,7 +89,6 @@ class Graph:
             a.sort()
         self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
         self._m = len(seen)
-        self._hash: Optional[int] = None
 
     @classmethod
     def _from_adj(cls, adj: tuple, m: int) -> "Graph":
@@ -100,7 +98,6 @@ class Graph:
         g.n = len(adj)
         g._adj = adj
         g._m = m
-        g._hash = None
         return g
 
     @property
@@ -133,9 +130,7 @@ class Graph:
         return self.n == other.n and self._adj == other._adj
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.n, self._adj))
-        return self._hash
+        return hash((self.n, self._adj))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self._m})"
@@ -149,11 +144,15 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 _MANY = -2  # parent marker: the vertex has several neighbours one level closer
 
 
-def _sweep(g: Graph, *sources: int) -> tuple[list, list, list]:
+def _sweep(
+    g: Graph, *sources: int, skip: Optional[tuple[int, int]] = None
+) -> tuple[list, list, list]:
     """BFS from each source in turn: (visit order, distances, unique
     shortest-path parents).
 
-    The package's one BFS over the whole graph.  With one source x,
+    The package's one BFS loop.  With skip=(u, v) it runs on G-e: the edge
+    is dropped from its two endpoints' neighbour lists before the loop,
+    and every other vertex keeps g's own neighbour tuple.  With one source x,
     parent[v] is v's only neighbour one level closer to x, _MANY when there
     are several, and -1 for x itself and for unreached vertices (distance
     -1).  All of v's parents are dequeued while v waits in the queue, so the
@@ -167,6 +166,11 @@ def _sweep(g: Graph, *sources: int) -> tuple[list, list, list]:
     parent = [-1] * n
     order: list = []
     adj = g._adj
+    if skip is not None:
+        a, b = skip
+        adj = list(adj)
+        adj[a] = [w for w in adj[a] if w != b]
+        adj[b] = [w for w in adj[b] if w != a]
     for x in sources:
         if dist[x] >= 0:
             continue
@@ -193,21 +197,7 @@ def _bfs(g: Graph, source: int, skip: Optional[tuple[int, int]] = None) -> list[
     arithmetic with it; the public wrappers convert -1 to UNREACHABLE.
     Pass skip=(u, v) to run on G-e without materialising the deletion.
     """
-    if skip is None:
-        return _sweep(g, source)[1]
-    dist = [-1] * g.n
-    dist[source] = 0
-    q = deque([source])
-    adj = g._adj
-    a, b = skip
-    while q:
-        u = q.popleft()
-        du1 = dist[u] + 1
-        for w in adj[u]:
-            if dist[w] < 0 and not ((u == a and w == b) or (u == b and w == a)):
-                dist[w] = du1
-                q.append(w)
-    return dist
+    return _sweep(g, source, skip=skip)[1]
 
 
 @dataclass(frozen=True)
@@ -359,9 +349,8 @@ def base_graph(g: Graph) -> BaseGraphResult:
     was_tree = g.m == g.n - 1  # connected, so n - 1 edges make a tree
     deg = [len(a) for a in g._adj]
     removed = [False] * g.n
-    q = deque(v for v in range(g.n) if deg[v] == 1)
-    while q:
-        u = q.popleft()
+    peel = [v for v in range(g.n) if deg[v] == 1]
+    for u in peel:
         if removed[u] or deg[u] != 1:
             continue
         removed[u] = True
@@ -370,7 +359,7 @@ def base_graph(g: Graph) -> BaseGraphResult:
             if not removed[w]:
                 deg[w] -= 1
                 if deg[w] == 1:
-                    q.append(w)
+                    peel.append(w)
     survivors = tuple(v for v in range(g.n) if not removed[v])
     if len(survivors) == g.n:
         return BaseGraphResult(

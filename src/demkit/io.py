@@ -154,36 +154,33 @@ def load_edgelist(path) -> LoadedGraph:
         return parse_edgelist(fp.read())
 
 
-def format_edgelist(g: Graph, labels=None, header_comments=(), roles=None) -> str:
+def format_edgelist(g: Graph, header_comments=(), roles=None) -> str:
     """Canonical serialization: comments, roles, 'n m', edges in id order."""
-    def name(v: int) -> str:
-        return str(labels[v]) if labels is not None else str(v)
-
     lines = [f"# {c}" for c in header_comments]
     for role in sorted(roles or {}):
-        lines.append(f"# {role}={name((roles or {})[role])}")
+        lines.append(f"# {role}={roles[role]}")
     lines.append(f"{g.n} {g.m}")
     for u, v in g.edges():
-        lines.append(f"{name(u)} {name(v)}")
+        lines.append(f"{u} {v}")
     return "\n".join(lines) + "\n"
 
 
-def write_edgelist(path, g: Graph, labels=None, header_comments=(), roles=None) -> None:
+def write_edgelist(path, g: Graph) -> None:
     with open(path, "w", encoding="utf-8") as fp:
-        fp.write(format_edgelist(g, labels, header_comments, roles))
+        fp.write(format_edgelist(g))
 
 
 def to_dot(
     g: Graph,
-    labels=None,
+    label=lambda v: v,
     monitors=(),
     highlight_edges=(),
     uncovered_edges=(),
 ) -> str:
-    """Graphviz output with monitor vertices filled and uncovered edges dashed."""
-    def name(v: int) -> str:
-        return str(labels[v]) if labels is not None else str(v)
+    """Graphviz output with monitor vertices filled and uncovered edges dashed.
 
+    label maps a vertex id to the name drawn, as in the to_json serializers.
+    """
     monitors = set(monitors)
     highlight = {tuple(sorted(e)) for e in highlight_edges}
     uncovered = {tuple(sorted(e)) for e in uncovered_edges}
@@ -192,9 +189,8 @@ def to_dot(
         attrs = []
         if v in monitors:
             attrs.append('style=filled fillcolor="lightblue"')
-        label = name(v)
         attr_str = f" [{' '.join(attrs)}]" if attrs else ""
-        lines.append(f'  "{label}"{attr_str};')
+        lines.append(f'  "{label(v)}"{attr_str};')
     for e in g.edges():
         attrs = []
         if e in uncovered:
@@ -202,6 +198,6 @@ def to_dot(
         elif e in highlight:
             attrs.append("penwidth=2")
         attr_str = f" [{' '.join(attrs)}]" if attrs else ""
-        lines.append(f'  "{name(e[0])}" -- "{name(e[1])}"{attr_str};')
+        lines.append(f'  "{label(e[0])}" -- "{label(e[1])}"{attr_str};')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -688,7 +688,6 @@ def graph_reference(n: int, edges) -> Graph:
     g.n = n
     g._adj = tuple(tuple(sorted(a)) for a in adj)
     g._m = len(seen)
-    g._hash = None
     return g
 
 

@@ -189,6 +189,10 @@ def test_criterion_09_base_graph_identity():
         g = attach_pendant_trees(core, extra=rng.randint(1, 6), seed=700 + count)
         reduced = base_graph(g)
         assert not reduced.was_tree
+        # The pendant trees hang off vertices numbered after the core's, so
+        # peeling them leaves the core's own 2-core, with the same ids.
+        core_base = base_graph(core)
+        assert (reduced.new_to_old, reduced.graph) == (core_base.new_to_old, core_base.graph)
         assert dem_exact(g).value == dem_exact(reduced.graph).value
         count += 1
     _report(9, "dem is invariant under pendant-tree attachment on 100 graphs")

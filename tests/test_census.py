@@ -1,0 +1,64 @@
+"""Every connected graph on 2 to 7 vertices, checked against the oracles.
+
+census7.json holds the 995 connected graphs of the graph atlas (Read and
+Wilson, *An Atlas of Graphs*) on 2..7 vertices, as `[n, edges]` rows in
+atlas order.  It was written once from networkx.graph_atlas_g(); the test
+reads only the file, so it needs no networkx.
+"""
+
+import json
+from collections import Counter
+from functools import lru_cache
+from pathlib import Path
+
+from demkit import build_graph, dem_exact, em_set, em_set_naive, verify_dem_result
+from demkit.graph import _bfs
+from demkit.monitor import _em_holders
+
+from oracles import brute_minimum_monitoring, relaxation_distances
+
+# OEIS A001349: connected graphs on n unlabelled vertices.
+CONNECTED_COUNTS = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+
+
+@lru_cache(maxsize=None)
+def census() -> tuple:
+    rows = json.loads((Path(__file__).parent / "census7.json").read_text())
+    return tuple(build_graph(n, map(tuple, edges)) for n, edges in rows)
+
+
+def test_counts_per_order():
+    assert Counter(g.n for g in census()) == CONNECTED_COUNTS
+    assert len(set(census())) == len(census())
+
+
+def test_dem_against_brute_force():
+    values = Counter()
+    for g in census():
+        masks = [em_set_naive(g, x).edges for x in range(g.n)]
+        res = dem_exact(g)
+        assert res.exact and res.value == brute_minimum_monitoring(g, masks)[0], g
+        assert verify_dem_result(g, res), g
+        values[res.value] += 1
+    assert values == {1: 24, 2: 215, 3: 392, 4: 303, 5: 60, 6: 1}
+
+
+def test_em_sets_three_ways():
+    for g in census():
+        edges = list(g.edges())
+        holders = _em_holders(g)
+        for x in range(g.n):
+            naive = em_set_naive(g, x).edges
+            assert em_set(g, x).edges == naive, (g, x)
+            assert {e for e, h in zip(edges, holders) if h >> x & 1} == naive, (g, x)
+
+
+def test_distances_after_each_deletion():
+    pairs = 0
+    for g in census():
+        for e in g.edges():
+            for x in range(g.n):
+                want = [-1 if d is None else d for d in relaxation_distances(g, x, skip=e)]
+                assert _bfs(g, x, skip=e) == want, (g, e, x)
+                pairs += 1
+    assert pairs == 73_337

@@ -270,27 +270,39 @@ class TestDeterminismAndErrors:
             assert "cannot write" in capsys.readouterr().err
 
     @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
-    def test_out_of_memory_exit2(self):
-        # A 200,000-vertex cycle outgrows 1 GiB of address space in the EM
-        # pass; the limit is set in the child only.
+    def test_out_of_memory_exit2(self, tmp_path):
+        # Each row is (argv, address-space limit in MiB, exit code); the
+        # limit is set in the child only.
         import resource
 
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
+        big = tmp_path / "isolated.el"
+        big.write_text("1000000 0\n")
+        rows = [
+            # A 200,000-vertex cycle outgrows 1 GiB in the EM pass.
+            (["dem", "--gen", "cycle:200000"], 1024, 2),
+            # 2^30 vertices: the generator's edge list does not fit.
+            (["dem", "--gen", "hypercube:30"], 512, 2),
+            # Ten bytes declare a million isolated vertices: the reply is one
+            # short line naming the component count, not a million sizes.
+            (["dem", str(big)], 512, 3),
+        ]
         src = str(Path(demkit.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "demkit", "dem", "--gen", "cycle:200000"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-            preexec_fn=limit,
-            timeout=120,
-        )
-        assert proc.returncode == 2, proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+        for argv, mib, code in rows:
+            proc = subprocess.run(
+                [sys.executable, "-m", "demkit", *argv],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": path},
+                preexec_fn=lambda: resource.setrlimit(
+                    resource.RLIMIT_AS, (mib << 20, mib << 20)
+                ),
+                timeout=120,
+            )
+            assert proc.returncode == code, (argv, proc.stderr)
+            assert "Traceback" not in proc.stderr, argv
+            assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: "), argv
+            assert len(proc.stderr) < 200, argv
 
     def test_disconnected_exit3(self, capsys, tmp_path):
         f = tmp_path / "disc.el"
