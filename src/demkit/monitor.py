@@ -136,8 +136,8 @@ def _em_holders(g: Graph, sources=None, what: str = "EM sets") -> list:
     A disconnected graph raises DisconnectedError, naming `what`.
 
     Pass 1 is a multi-source BFS, level by level.  At level k, front[v]
-    holds the sources at distance exactly k from v and unseen[v] those
-    farther away; the sources new to v at level k go into r0[v] or r1[v]
+    holds the sources at distance exactly k from a scanned v and unseen[v]
+    those farther away; the sources new to v at level k go into r0[v] or r1[v]
     when k mod 3 is 0 or 1, and r2[v] is what those two leave.  A vertex
     with no unseen source left drops out of the scan.  One that meets no
     new source at a level is parked: it can meet one at the next level
@@ -179,18 +179,21 @@ def _em_holders(g: Graph, sources=None, what: str = "EM sets") -> list:
     parked = [False] * n
     asleep = 0
     level = 0
+    # The rows swap; a level rewrites only its scanned vertices' entries.
+    # An older entry front[w] holds sources w met two or more levels back,
+    # which every neighbour has met too, so `& unseen[v]` drops them.
+    nxt = [0] * n
     while active:
         level += 1
         r = residue[level % 3]
-        nxt = [0] * n
         still = []
         for v in active:
             once = 0
             for w in adj[v]:
                 once |= front[w]
             new = once & unseen[v]
+            nxt[v] = new
             if new:
-                nxt[v] = new
                 if r is not None:
                     r[v] |= new
                 rest = unseen[v] ^ new
@@ -208,7 +211,7 @@ def _em_holders(g: Graph, sources=None, what: str = "EM sets") -> list:
                             parked[w] = False
                             asleep -= 1
                             still.append(w)
-        front = nxt
+        front, nxt = nxt, front
         active = still
     if asleep:
         require_connected(g, what)

@@ -9,8 +9,8 @@ still counts edges, through each class's weight, so merging changes no
 pick.  One branch-and-bound search, seeded with the greedy cover, returns
 the optimum that is lexicographically smallest over core vertices, so the
 reported monitor set is canonical.  When the node budget runs out, the
-covers found so far are improved by local search, on one element per
-edge, and the smallest is returned as inexact.
+covers found so far are improved by local search, on the same classes,
+and the smallest is returned as inexact: every stage reads one instance.
 """
 
 from __future__ import annotations
@@ -298,6 +298,8 @@ def _improve_cover(holders: list, covers: list) -> list:
     hold element e, and every list in covers is a cover.  Groups are tried
     smallest r first, in combinations order, and a move draws its new sets
     from the holders of the lowest element the group alone holds.
+    dem passes the edge classes in first-edge order; each mask read here is
+    a union of classes, so the moves are those made on one element per edge.
 
     The elements a group alone holds are read off three masks, rebuilt
     after each move: one, two and three hold the elements that the cover
@@ -427,13 +429,13 @@ def _transpose(holders: list, n: int) -> list:
 def _cover_instance(g: Graph) -> tuple:
     """dem on g as set cover over merged edge classes.
 
-    Returns (holders, buckets, masks, full): the EM holders of g's edges,
-    the buckets of _merge over them, masks[x] the classes in EM(x), in
-    _merge's order, and full the mask of all classes.
+    Returns (seen, buckets, masks, full): the classes' holders in the order
+    of their first edges, the buckets of _merge, masks[x] the classes in
+    EM(x), in _merge's order, and full the mask of all classes.
     """
     holders = _em_holders(g)
     classes, buckets = _merge(holders)
-    return holders, buckets, _transpose(classes, g.n), (1 << len(classes)) - 1
+    return list(dict.fromkeys(holders)), buckets, _transpose(classes, g.n), (1 << len(classes)) - 1
 
 
 def _check_cover(masks: list, full: int, cover) -> None:
@@ -475,14 +477,14 @@ def dem_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> DemResult:
     base = base_graph(g)
     if base.was_tree:
         return _result(g, (0,), "exact", True, 0, t0)
-    holders, buckets, masks, full = _cover_instance(base.graph)
+    seen, buckets, masks, full = _cover_instance(base.graph)
     incumbent = _greedy_cover(masks, full, buckets)
     covers, nodes, exact = _cover_search(masks, incumbent, budget)
     best = covers[-1]
     if not exact:
         # Polishing every cover, not only the last, keeps a larger budget
         # from ending on a worse result.
-        best = _improve_cover(holders, covers)
+        best = _improve_cover(seen, covers)
     _check_cover(masks, full, best)
     monitor_set = tuple(sorted(base.new_to_old[v] for v in best))
     return _result(g, monitor_set, "exact", exact, nodes, t0)
@@ -503,11 +505,12 @@ def dem_greedy(g: Graph) -> DemResult:
 
 
 def verify_dem_result(g: Graph, result: DemResult) -> bool:
-    """Recheck a DemResult definitionally; True only if everything holds.
+    """Recheck a DemResult on g definitionally; True only if everything holds.
 
-    Coverage is recomputed with the naive EM oracle.  For exact results on
-    cores of at most 12 vertices, minimality is re-established by exhaustive
-    subset search.
+    Coverage is recomputed with the naive EM oracle, and each witness of a
+    certificate built on g (result's own may be on another graph) by BFS on
+    G-e.  For exact results on cores of at most 12 vertices, minimality is
+    re-established by exhaustive subset search.
     """
     ms = sorted(set(result.monitor_set))
     if result.value != len(ms):
@@ -519,10 +522,11 @@ def verify_dem_result(g: Graph, result: DemResult) -> bool:
         covered |= em_set_naive(g, x).edges
     if covered != set(g.edges()):
         return False
-    if result.certificate.uncovered:
+    certificate = is_monitoring_set(g, ms)
+    if certificate.uncovered:
         return False
     before = {x: _bfs(g, x) for x in ms}
-    for e, (x, y) in result.certificate.witnesses.items():
+    for e, (x, y) in certificate.witnesses.items():
         if x not in before:
             return False
         after = _bfs(g, x, skip=canonical_edge(*e))

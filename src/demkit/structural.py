@@ -3,12 +3,12 @@
 The two- and three-monitor characterizations work on the distance-cell
 partition: each vertex is binned by its distance vector to the candidate
 monitors, and a list of named local rules forbids the patterns that would
-leave some edge unwatched.  The rules are tables of cell offsets run by one
-pattern matcher (`_Rule`); only `unique_parent_constraints` is written by
-hand.  Each report lists every rule's pass/fail with its witness and also
-carries the direct ground-truth check, because parts of the three-monitor
-condition list are suspected to contain transcription errors;
-disagreement is reported as data, never papered over.
+leave some edge unwatched.  Every rule of both lists is a table of cell
+offsets run by one pattern matcher (`_Rule`).  Each report lists every
+rule's pass/fail with its witness and also carries the direct ground-truth
+check, because parts of the three-monitor condition list are suspected to
+contain transcription errors; disagreement is reported as data, never
+papered over.
 """
 
 from __future__ import annotations
@@ -125,6 +125,7 @@ class ConditionReport:
 # a sequence of steps; each step picks a neighbour of x or of y, the first
 # vertex picked after x, whose cell is one of its offsets from x's cell or
 # from y's cell, and which differs from every vertex picked so far.
+# x must first have a neighbour at one of the first step's `need` offsets.
 # Candidates are tried in adjacency order (ascending id) with backtracking,
 # and the first full match, put in the rule's witness order, is the witness.
 # ---------------------------------------------------------------------------
@@ -147,9 +148,16 @@ def _encode(vec) -> int:
     return code
 
 
-def _step(of: int, from_x=(), from_y=()) -> tuple:
-    """A step: a neighbour of vertex `of` (X or Y) at one of the offsets."""
-    return (of, frozenset(map(_encode, from_x)), frozenset(map(_encode, from_y)))
+def _step(of: int, from_x=(), from_y=(), need=None) -> tuple:
+    """A step: a neighbour of vertex `of` (X or Y) at one of the offsets;
+    `need` (read on a first step only) defaults to from_x."""
+    fx, fy = frozenset(map(_encode, from_x)), frozenset(map(_encode, from_y))
+    return (of, fx, fy, fx if need is None else frozenset(map(_encode, need)))
+
+
+def _two(offsets, need=None) -> tuple:
+    """An alternative: two neighbours of x at the offsets."""
+    return (_step(X, offsets, need=need), _step(X, offsets))
 
 
 @dataclass(frozen=True)
@@ -161,8 +169,7 @@ class _Rule:
     def __call__(self, adj, code: list, diffs: list) -> ConditionResult:
         for x in range(len(adj)):
             for steps in self.alternatives:
-                # A first step picks a neighbour of x by offsets from x alone.
-                if steps[0][1].isdisjoint(diffs[x]):
+                if steps[0][3].isdisjoint(diffs[x]):
                     continue
                 picked = _extend(adj, code, (x,), steps)
                 if picked is not None:
@@ -174,7 +181,7 @@ def _extend(adj, code, picked: tuple, steps: tuple) -> Optional[tuple]:
     """The first completion of `picked` by `steps`, depth first, or None."""
     if not steps:
         return picked
-    of, from_x, from_y = steps[0]
+    of, from_x, from_y, _ = steps[0]
     cx = code[picked[X]]
     cy = code[picked[Y]] if from_y else 0
     for w in adj[picked[of]]:
@@ -221,36 +228,20 @@ _INDEPENDENT = _Rule("independent_cells", ((_step(X, [(0, 0)]),),), (0, 1))
 # ---------------------------------------------------------------------------
 
 
-_UP_U = frozenset(_encode((-1, dj)) for dj in (-1, 0, 1))  # one step closer to u
-_UP_V = frozenset(_encode((di, -1)) for di in (-1, 0, 1))  # one step closer to v
-_DIAG, _UP_U_ONLY, _UP_V_ONLY = _encode((-1, -1)), _encode((-1, 0)), _encode((0, -1))
-
-
-def _unique_parent_constraints(adj, code: list, diffs: list) -> ConditionResult:
-    """Neighbor-uniqueness around each vertex.
-
-    Two neighbors one step closer to both monitors are always fatal; a
-    neighbor one step closer to a single monitor (level with the other)
-    must be the unique neighbor on that monitor's closer level.  The
-    witness names the first two closer neighbours, which need not match
-    any one cell, so this rule is not a table entry.
-    """
-    for x, cx in enumerate(code):
-        up_u = [w for w in adj[x] if code[w] - cx in _UP_U]
-        up_v = [w for w in adj[x] if code[w] - cx in _UP_V]
-        diag = [w for w in up_u if code[w] - cx == _DIAG]
-        if len(diag) > 1:
-            return ConditionResult("unique_parent_constraints", False, (x, diag[0], diag[1]))
-        if len(up_u) > 1 and _UP_U_ONLY in diffs[x]:
-            return ConditionResult("unique_parent_constraints", False, (x, up_u[0], up_u[1]))
-        if len(up_v) > 1 and _UP_V_ONLY in diffs[x]:
-            return ConditionResult("unique_parent_constraints", False, (x, up_v[0], up_v[1]))
-    return ConditionResult("unique_parent_constraints", True)
-
-
 _PAIR_RULES = (
     _INDEPENDENT,
-    _unique_parent_constraints,
+    # Two neighbours one step closer to both monitors are fatal, and so are
+    # two one step closer to one monitor once x has a neighbour one step
+    # closer to it and level with the other; the witness is the first two.
+    _Rule(
+        "unique_parent_constraints",
+        (
+            _two([(-1, -1)]),
+            _two([(-1, d) for d in (-1, 0, 1)], need=[(-1, 0)]),
+            _two([(d, -1) for d in (-1, 0, 1)], need=[(0, -1)]),
+        ),
+        (0, 1, 2),
+    ),
     # A skew edge x-y descends toward one monitor and ascends toward the
     # other; the path z-x-y-z' gives it a second parent on both sides.  The
     # offsets relative to y cover both monitor orientations at once.
@@ -352,7 +343,7 @@ _TRIPLE_RULES = (
     # At most one neighbor per non-increasing cell around each vertex.
     _Rule(
         "unique_parent_per_cell",
-        tuple((_step(X, [off]), _step(X, [off])) for off in _BOX_DOWN),
+        tuple(_two([off]) for off in _BOX_DOWN),
         (0, 1, 2),
     ),
     _pair_exclusion(

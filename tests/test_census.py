@@ -6,14 +6,17 @@ atlas order.  It was written once from networkx.graph_atlas_g(); the test
 reads only the file, so it needs no networkx.
 """
 
+import hashlib
 import json
 from collections import Counter
 from functools import lru_cache
+from itertools import combinations
 from pathlib import Path
 
 from demkit import build_graph, dem_exact, em_set, em_set_naive, verify_dem_result
-from demkit.graph import _bfs
+from demkit.graph import _bfs, base_graph
 from demkit.monitor import _em_holders
+from demkit.structural import dem2_pair_check
 
 from oracles import brute_minimum_monitoring, relaxation_distances
 
@@ -62,3 +65,22 @@ def test_distances_after_each_deletion():
                 assert _bfs(g, x, skip=e) == want, (g, e, x)
                 pairs += 1
     assert pairs == 73_337
+
+
+def test_pair_reports_golden():
+    # Every pair of every census base graph: the two-monitor rules agree
+    # with the direct check, and the SHA-256 over the reports' JSON pins
+    # each rule's pass/fail and witness.
+    digest = hashlib.sha256()
+    count = 0
+    for g in census():
+        gb = base_graph(g).graph
+        for u, v in combinations(range(gb.n), 2):
+            rep = dem2_pair_check(gb, u, v)
+            assert not rep.discrepancy, (sorted(gb.edges()), u, v)
+            digest.update((json.dumps(rep.to_json(), sort_keys=True) + "\n").encode())
+            count += 1
+    assert count == 16_137
+    assert digest.hexdigest() == (
+        "6e309f111c8600a9968ce432c4b726a1249b1f9c6b4ce228015d0d7fadcd4daf"
+    )

@@ -304,6 +304,26 @@ class TestDeterminismAndErrors:
             assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: "), argv
             assert len(proc.stderr) < 200, argv
 
+    def test_verify_two_monitors_on_a_long_cycle(self):
+        # Two sources on a 200,000-vertex cycle: the EM pass runs 100,000
+        # levels, so a level must cost what its few scanned vertices cost,
+        # not a row of n entries.
+        src = str(Path(demkit.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "demkit", "verify", "--gen", "cycle:200000", "--monitors", "0,1"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["is_monitoring"] is False
+        # Only the edge opposite the two monitors is left uncovered.
+        assert report["certificate"]["uncovered"] == [[100_000, 100_001]]
+        assert len(report["certificate"]["witnesses"]) == 199_999
+
     def test_disconnected_exit3(self, capsys, tmp_path):
         f = tmp_path / "disc.el"
         f.write_text("4 2\n0 1\n2 3\n")

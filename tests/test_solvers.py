@@ -603,6 +603,18 @@ class TestVerifyDemResult:
         res.certificate = is_monitoring_set(g, [0, 2, 4])
         assert not verify_dem_result(g, res)
 
+    def test_certificate_built_on_the_given_graph(self):
+        # g2 is g1 plus the edge 24, and both have the exact set (2, 3), so
+        # g1's result is a valid answer on g2 too; its own certificate
+        # lists g1's edges, not g2's.
+        edges = [(0, 1), (1, 2), (2, 3), (2, 5), (3, 4), (3, 5)]
+        g1, g2 = build_graph(6, edges), build_graph(6, edges + [(2, 4)])
+        r1, r2 = dem_exact(g1), dem_exact(g2)
+        assert (r1.monitor_set, r1.exact) == (r2.monitor_set, r2.exact) == ((2, 3), True)
+        assert verify_dem_result(g2, r1)
+        assert verify_dem_result(g2, r2)
+        assert verify_dem_result(g1, r2)
+
     def test_c6_candidate_decided_by_oracle(self):
         g = gen.cycle(6).graph
         cert = is_monitoring_set(g, [0, 1])
