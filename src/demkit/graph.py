@@ -341,12 +341,13 @@ def base_graph(g: Graph) -> BaseGraphResult:
 
     Idempotent; preserves every cycle of g.  When no vertex is stripped, the
     result holds g itself (a Graph is immutable, so sharing it is safe) and
-    the identity mapping.  Raises DisconnectedError for disconnected input.
+    the identity mapping.  Raises DisconnectedError for disconnected input:
+    stripping a leaf keeps its component and leaves one vertex of a tree,
+    so g is connected exactly when what is left is, and one BFS over the
+    remainder decides it.
     """
     if g.n == 0:
         raise BadParameterError("base graph of an empty graph is undefined")
-    require_connected(g, "base-graph reduction")
-    was_tree = g.m == g.n - 1  # connected, so n - 1 edges make a tree
     deg = [len(a) for a in g._adj]
     removed = [False] * g.n
     peel = [v for v in range(g.n) if deg[v] == 1]
@@ -362,20 +363,20 @@ def base_graph(g: Graph) -> BaseGraphResult:
                     peel.append(w)
     survivors = tuple(v for v in range(g.n) if not removed[v])
     if len(survivors) == g.n:
-        return BaseGraphResult(
-            graph=g, old_to_new=survivors, new_to_old=survivors, was_tree=was_tree
-        )
-    old_to_new: list = [None] * g.n
-    for new, old in enumerate(survivors):
-        old_to_new[old] = new
-    # The relabelling keeps the order of the survivors, so their neighbour
-    # tuples, filtered and relabelled, stay sorted.
-    adj = tuple(
-        tuple([old_to_new[w] for w in g._adj[v] if not removed[w]]) for v in survivors
-    )
+        core, old_to_new = g, survivors
+    else:
+        index: list = [None] * g.n
+        for new, old in enumerate(survivors):
+            index[old] = new
+        # The relabelling keeps the order of the survivors, so their
+        # neighbour tuples, filtered and relabelled, stay sorted.
+        adj = tuple(tuple([index[w] for w in g._adj[v] if not removed[w]]) for v in survivors)
+        core, old_to_new = Graph._from_adj(adj, sum(map(len, adj)) // 2), tuple(index)
+    if not is_connected(core):
+        require_connected(g, "base-graph reduction")
     return BaseGraphResult(
-        graph=Graph._from_adj(adj, sum(map(len, adj)) // 2),
-        old_to_new=tuple(old_to_new),
+        graph=core,
+        old_to_new=old_to_new,
         new_to_old=survivors,
-        was_tree=was_tree,
+        was_tree=g.m == g.n - 1,  # connected, so n - 1 edges make a tree
     )

@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from heapq import heapify, heappop, heapreplace
 from itertools import combinations
 from time import perf_counter
 
@@ -90,23 +91,48 @@ def _greedy_cover(masks: list, full: int, buckets: list) -> list:
     masks range over the classes of _merge, and a class counts for the w
     elements it stands for: the gain is the sum of w * popcount over the
     buckets.
+
+    A set's gain only falls as elements get covered, so the sets wait on a
+    heap under gains read earlier, which bound their gains now (Minoux's
+    lazy greedy).  The key of set v with gain g is v - g * len(masks):
+    the smallest key has the highest gain, and among equal gains the
+    lowest index.  Each pick re-reads the gain of the set at the head
+    until the head's key is current; no other key can then be smaller, so
+    the head is the set a full scan would pick.  A set whose gain reads 0
+    leaves the heap, and an empty heap with elements left uncovered means
+    no set holds them.
     """
+    n = len(masks)
+    heap = []
+    for v, m in enumerate(masks):
+        gain = 0
+        for w, b in buckets:
+            gain += w * (m & b).bit_count()
+        if gain:
+            heap.append(v - gain * n)
+    heapify(heap)
     covered = 0
     chosen = []
+    parts = buckets
     while covered != full:
-        best_v, best_gain = -1, 0
-        left = full ^ covered
-        parts = [(w, b & left) for w, b in buckets]
-        for v, m in enumerate(masks):
-            gain = 0
-            for w, b in parts:
-                gain += w * (m & b).bit_count()
-            if gain > best_gain:
-                best_v, best_gain = v, gain
-        if best_v < 0:
+        if not heap:
             raise AssertionError("uncoverable element in set-cover instance")
-        chosen.append(best_v)
-        covered |= masks[best_v]
+        key = heap[0]
+        v = key % n
+        m = masks[v]
+        gain = 0
+        for w, b in parts:
+            gain += w * (m & b).bit_count()
+        if v - gain * n == key:
+            heappop(heap)
+            chosen.append(v)
+            covered |= m
+            left = full ^ covered
+            parts = [(w, b & left) for w, b in buckets]
+        elif gain:
+            heapreplace(heap, v - gain * n)
+        else:
+            heappop(heap)
     return chosen
 
 

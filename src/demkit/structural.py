@@ -33,7 +33,7 @@ from .graph import (
     degree_extremes,
     require_connected,
 )
-from .monitor import em_set, em_set_naive, is_monitoring_set
+from .monitor import _em_holders, em_set, em_set_naive, is_monitoring_set
 
 
 @dataclass(frozen=True)
@@ -582,7 +582,11 @@ def bounds_report(g: Graph) -> BoundsReport:
     feedback_ub = 2 * feedback if feedback > 0 else None
     dmin, dmax = degree_extremes(g)
     regular_lb = ceil(dmin * n / (2 * n - 2)) if dmin == dmax else None
-    em_per_vertex = {x: em_set(g, x).size for x in range(n)}
+    # |EM(x)| is the number of edges whose holder mask has x's bit.
+    em_per_vertex = dict.fromkeys(range(n), 0)
+    for h in _em_holders(g):
+        for x in _bits(h):
+            em_per_vertex[x] += 1
     return BoundsReport(
         n=n,
         m=m,

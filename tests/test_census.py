@@ -13,12 +13,18 @@ from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 
-from demkit import build_graph, dem_exact, em_set, em_set_naive, verify_dem_result
+from demkit import build_graph, dem_exact, dem_greedy, em_set, em_set_naive, verify_dem_result
 from demkit.graph import _bfs, base_graph
 from demkit.monitor import _em_holders
-from demkit.structural import dem2_pair_check
+from demkit.solvers import _cover_instance, _greedy_cover, _transpose
+from demkit.structural import bounds_report, dem2_pair_check
 
-from oracles import brute_minimum_monitoring, relaxation_distances
+from oracles import (
+    brute_minimum_monitoring,
+    greedy_cover_reference,
+    harmonic,
+    relaxation_distances,
+)
 
 # OEIS A001349: connected graphs on n unlabelled vertices.
 CONNECTED_COUNTS = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -54,6 +60,27 @@ def test_em_sets_three_ways():
             naive = em_set_naive(g, x).edges
             assert em_set(g, x).edges == naive, (g, x)
             assert {e for e, h in zip(edges, holders) if h >> x & 1} == naive, (g, x)
+        sizes = {x: em_set(g, x).size for x in range(g.n)}
+        assert bounds_report(g).em_per_vertex == sizes, g
+
+
+def test_greedy_picks_and_guarantee():
+    # On every non-tree core, greedy on merged classes picks what the
+    # per-edge reference picks; on every graph, greedy stays within the
+    # harmonic factor of its largest EM set (the set-cover guarantee).
+    cores = 0
+    for g in census():
+        base = base_graph(g)
+        if not base.was_tree:
+            core = base.graph
+            holders = _em_holders(core)
+            expected = greedy_cover_reference(_transpose(holders, core.n), (1 << len(holders)) - 1)
+            _, buckets, masks, full = _cover_instance(core)
+            assert _greedy_cover(masks, full, buckets) == expected, g
+            cores += 1
+        largest = max(em_set(g, x).size for x in range(g.n))
+        assert dem_greedy(g).value <= harmonic(largest) * dem_exact(g).value, g
+    assert cores == 971
 
 
 def test_distances_after_each_deletion():

@@ -324,6 +324,22 @@ class TestDeterminismAndErrors:
         assert report["certificate"]["uncovered"] == [[100_000, 100_001]]
         assert len(report["certificate"]["witnesses"]) == 199_999
 
+    def test_greedy_on_q12(self):
+        # Q12 has 4,096 sets and 2,048 picks, with ties between equal
+        # gains at every pick: greedy must re-read a gain only when its set
+        # reaches the head of the heap, not rescan every set per pick.
+        src = str(Path(demkit.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "demkit", "dem", "--gen", "hypercube:12", "--method", "greedy"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=5,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["results"]["greedy"]["value"] == 2048
+
     def test_disconnected_exit3(self, capsys, tmp_path):
         f = tmp_path / "disc.el"
         f.write_text("4 2\n0 1\n2 3\n")

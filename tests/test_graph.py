@@ -201,6 +201,24 @@ class TestBaseGraph:
             base_graph(g)
         assert "2 components" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "n, edges, sizes",
+        [
+            # A tree peels to one vertex, K2 to one, an isolated vertex
+            # stays: each leaves the remainder disconnected, and the message
+            # still counts the components of the input.
+            (9, [(0, 1), (1, 2), (1, 3), (3, 4), (5, 6), (6, 7), (7, 8), (8, 5)], "[5, 4]"),
+            (5, [(0, 1), (1, 2), (2, 0), (3, 4)], "[3, 2]"),
+            (6, [(1, 2), (2, 3), (3, 4), (4, 1), (1, 5)], "[5, 1]"),
+        ],
+    )
+    def test_disconnected_after_peeling(self, n, edges, sizes):
+        with pytest.raises(DisconnectedError) as exc:
+            base_graph(build_graph(n, edges))
+        assert str(exc.value) == (
+            f"base-graph reduction requires a connected graph; found 2 components of sizes {sizes}"
+        )
+
     def test_mapping_roundtrip(self):
         cyc = gen.cycle(5).graph
         g = build_graph(7, list(cyc.edges()) + [(2, 5), (5, 6)])
