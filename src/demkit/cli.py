@@ -148,10 +148,15 @@ def _load(args) -> LoadedGraph:
         raise FormatError(f"cannot read {args.input}: {exc}")
 
 
+def _vertices(loaded: LoadedGraph, text: str) -> list:
+    """The vertices a comma list names; empty items are skipped."""
+    return [loaded.resolve(tok.strip()) for tok in text.split(",") if tok.strip()]
+
+
 def _parse_monitors(loaded: LoadedGraph, text: str) -> list:
     if text.strip() == "all":
         return list(range(loaded.graph.n))
-    return [loaded.resolve(tok.strip()) for tok in text.split(",") if tok.strip()]
+    return _vertices(loaded, text)
 
 
 def _parse_edge(loaded: LoadedGraph, text: str) -> tuple:
@@ -160,10 +165,10 @@ def _parse_edge(loaded: LoadedGraph, text: str) -> tuple:
         if "center1" not in roles or "center2" not in roles:
             raise BadParameterError("--edge centers needs center1/center2 roles on the input")
         return (roles["center1"], roles["center2"])
-    parts = [tok.strip() for tok in text.split(",") if tok.strip()]
+    parts = _vertices(loaded, text)
     if len(parts) != 2:
         raise BadParameterError("--edge expects 'u,v' or 'centers'")
-    return (loaded.resolve(parts[0]), loaded.resolve(parts[1]))
+    return tuple(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +296,10 @@ def cmd_bounds(args) -> int:
 def cmd_char(args) -> int:
     loaded = _load(args)
     out = {"target": args.target}
-    # Every target needs a connected graph with a vertex: base_graph raises
-    # DisconnectedError (exit 3) or BadParameterError (exit 2) otherwise.
+    # Every target needs a connected graph with an edge, as dem does:
+    # base_graph raises DisconnectedError (exit 3) on a disconnected one.
+    if loaded.graph.n < 2:
+        raise BadParameterError("dem is defined for graphs with at least one edge")
     base = base_graph(loaded.graph)
     if args.target == 1:
         _emit(args, loaded, out | {"is_tree": base.was_tree, "dem_is_1": base.was_tree})
@@ -302,7 +309,7 @@ def cmd_char(args) -> int:
     gb, lift, back = base.graph, base.new_to_old, base.old_to_new
 
     def to_base(tokens, count):
-        verts = [loaded.resolve(t.strip()) for t in tokens.split(",")]
+        verts = _vertices(loaded, tokens)
         if len(verts) != count:
             raise BadParameterError(f"--tuple needs {count} vertices")
         missing = [loaded.label(v) for v in verts if back[v] is None]

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from heapq import heapify, heappop, heapreplace
+from heapq import heappop, heapreplace
 from itertools import combinations
 from time import perf_counter
 
@@ -98,19 +98,15 @@ def _greedy_cover(masks: list, full: int, buckets: list) -> list:
     the smallest key has the highest gain, and among equal gains the
     lowest index.  Each pick re-reads the gain of the set at the head
     until the head's key is current; no other key can then be smaller, so
-    the head is the set a full scan would pick.  A set whose gain reads 0
-    leaves the heap, and an empty heap with elements left uncovered means
-    no set holds them.
+    the head is the set a full scan would pick.  Every set starts under
+    top, one more than any gain, so the start is a sorted list, already a
+    heap, and every gain is first read at the head, in index order,
+    before any pick.  A set whose gain reads 0 leaves the heap, and an
+    empty heap with elements left uncovered means no set holds them.
     """
     n = len(masks)
-    heap = []
-    for v, m in enumerate(masks):
-        gain = 0
-        for w, b in buckets:
-            gain += w * (m & b).bit_count()
-        if gain:
-            heap.append(v - gain * n)
-    heapify(heap)
+    top = 1 + sum(w * b.bit_count() for w, b in buckets)
+    heap = [v - top * n for v in range(n)]
     covered = 0
     chosen = []
     parts = buckets
@@ -533,26 +529,23 @@ def dem_greedy(g: Graph) -> DemResult:
 def verify_dem_result(g: Graph, result: DemResult) -> bool:
     """Recheck a DemResult on g definitionally; True only if everything holds.
 
-    Coverage is recomputed with the naive EM oracle, and each witness of a
-    certificate built on g (result's own may be on another graph) by BFS on
-    G-e.  For exact results on cores of at most 12 vertices, minimality is
-    re-established by exhaustive subset search.
+    A certificate built on g (result's own may be on another graph) must
+    give every edge e of g a witness (x, y), x a monitor, and a BFS on G-e
+    must show d(x, y) change: one BFS per edge and one per monitor.  For
+    exact results on cores of at most 12 vertices, minimality is
+    re-established by exhaustive subset search; adding monitors never
+    uncovers an edge, so the subsets of size value - 1 decide it.
     """
     ms = sorted(set(result.monitor_set))
     if result.value != len(ms):
         return False
     if any(not (0 <= x < g.n) for x in ms):
         return False
-    covered = set()
-    for x in ms:
-        covered |= em_set_naive(g, x).edges
-    if covered != set(g.edges()):
-        return False
-    certificate = is_monitoring_set(g, ms)
-    if certificate.uncovered:
+    witnesses = is_monitoring_set(g, ms).witnesses
+    if set(witnesses) != set(g.edges()):
         return False
     before = {x: _bfs(g, x) for x in ms}
-    for e, (x, y) in certificate.witnesses.items():
+    for e, (x, y) in witnesses.items():
         if x not in before:
             return False
         after = _bfs(g, x, skip=canonical_edge(*e))
@@ -563,8 +556,9 @@ def verify_dem_result(g: Graph, result: DemResult) -> bool:
         if gb.n <= 12:
             naive = {x: em_set_naive(gb, x).edges for x in range(gb.n)}
             all_edges = set(gb.edges())
-            for size in range(1, result.value):
-                for subset in combinations(range(gb.n), size):
-                    if set().union(*(naive[x] for x in subset)) == all_edges:
-                        return False
+            # With value - 1 above the core's size, the whole core is the
+            # one subset, and it always monitors.
+            for subset in combinations(range(gb.n), min(result.value - 1, gb.n)):
+                if set().union(*(naive[x] for x in subset)) == all_edges:
+                    return False
     return True

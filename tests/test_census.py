@@ -9,6 +9,7 @@ reads only the file, so it needs no networkx.
 import hashlib
 import json
 from collections import Counter
+from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
@@ -50,6 +51,21 @@ def test_dem_against_brute_force():
         assert verify_dem_result(g, res), g
         values[res.value] += 1
     assert values == {1: 24, 2: 215, 3: 392, 4: 303, 5: 60, 6: 1}
+
+
+def test_verify_rejects_one_monitor_more():
+    # On every non-tree core, dem_exact's result passes verify_dem_result,
+    # and the same set plus one more core vertex, claimed exact, does not:
+    # the subsets one smaller than the claim include the optimum.
+    for g in census():
+        base = base_graph(g)
+        if base.was_tree:
+            continue
+        res = dem_exact(g)
+        assert verify_dem_result(g, res), g
+        extra = next(v for v in base.new_to_old if v not in res.monitor_set)
+        more = tuple(sorted(res.monitor_set + (extra,)))
+        assert not verify_dem_result(g, replace(res, value=res.value + 1, monitor_set=more)), g
 
 
 def test_em_sets_three_ways():

@@ -163,6 +163,14 @@ class TestOtherCommands:
         assert payload["found"] is True  # a report exists for the requested tuple
         assert payload["report"]["direct_check"] is False
 
+    def test_char_tuple_skips_empty_items(self, capsys):
+        # --tuple reads a comma list as --monitors and --edge do.
+        expected = run_cli(capsys, "char", "--gen", "petersen", "--target", "2", "--tuple", "0,1")
+        assert expected[0] == 0
+        for text in ("0,1,", ",0,1", "0,,1", " 0 , 1 "):
+            got = run_cli(capsys, "char", "--gen", "petersen", "--target", "2", "--tuple", text)
+            assert got == expected, text
+
     def test_char_target3_emits_discrepancy(self, capsys):
         _, payload = run_json(capsys, "char", "--gen", "complete:4", "--target", "3")
         assert "discrepancy" in payload
@@ -355,6 +363,19 @@ class TestDeterminismAndErrors:
         for target in ("1", "2", "3"):
             assert run_cli(capsys, "char", str(two_triangles), "--target", target) == (3, ""), target
             assert run_cli(capsys, "char", str(empty), "--target", target) == (2, ""), target
+
+    def test_char_needs_an_edge_at_every_target(self, capsys, tmp_path):
+        # As dem and bounds do: one vertex is a parameter error, two
+        # isolated vertices a disconnected graph.
+        one = tmp_path / "one.el"
+        one.write_text("1 0\n")
+        two = tmp_path / "two.el"
+        two.write_text("2 0\n")
+        for target in ("1", "2", "3"):
+            assert main(["char", str(one), "--target", target]) == 2, target
+            out, err = capsys.readouterr()
+            assert out == "" and "at least one edge" in err, target
+            assert run_cli(capsys, "char", str(two), "--target", target) == (3, ""), target
 
     def test_two_sources_rejected(self, capsys, tmp_path):
         f = tmp_path / "g.el"

@@ -162,6 +162,28 @@ class TestADFamily:
         inst = gen.a_d_graph(5, [2, 2, 2, 1], seed=9)
         assert bfs_distances(inst.graph, inst.role("v")).eccentricity() == 5
 
+    def test_layers_by_construction(self):
+        # Level i lies at distance i from v, and each vertex of level 2 or
+        # deeper has at least two neighbours one level up, with or without
+        # intra-level edges.
+        from demkit import bfs_distances
+
+        shapes = [(3, [2, 1], 0), (5, [2, 2, 2, 1], 9), (4, [3, 3, 2], 3), (4, [2, 3, 2], 42)]
+        shapes += [
+            (d, sizes, seed)
+            for d, sizes in ((3, [2, 2]), (4, [2, 2, 2]), (4, [3, 2, 1]), (5, [2, 3, 2, 2]))
+            for seed in (0, 1, 5)
+        ]
+        for d, sizes, seed in shapes:
+            level = [0, 1, 1] + [i + 2 for i, s in enumerate(sizes) for _ in range(s)]
+            for prob in (0.0, 0.7):
+                inst = gen.a_d_graph(d, sizes, seed=seed, intra_edge_prob=prob)
+                g = inst.graph
+                assert bfs_distances(g, inst.role("v")).dist == tuple(level)
+                for y in range(3, g.n):
+                    parents = [w for w in g.neighbors(y) if level[w] == level[y] - 1]
+                    assert len(parents) >= 2, (d, sizes, seed, prob, y)
+
     def test_parameter_guards(self):
         with pytest.raises(BadParameterError):
             gen.a_d_graph(3, [1, 1], seed=0)

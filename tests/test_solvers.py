@@ -1,13 +1,20 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import demkit
 from demkit import (
     BadParameterError,
+    DemResult,
     DisconnectedError,
     base_graph,
     build_graph,
@@ -613,6 +620,49 @@ class TestVerifyDemResult:
         assert verify_dem_result(g2, r1)
         assert verify_dem_result(g2, r2)
         assert verify_dem_result(g1, r2)
+
+    @pytest.mark.parametrize("lie", ["drop", "false_witness"])
+    def test_rejects_a_lying_certificate(self, monkeypatch, lie):
+        # {0, 1} misses C6's far edge (3, 4).  The certificate either drops
+        # that edge altogether or gives it the witness (0, 3), whose
+        # distance 3 stays 3 in G - (3, 4).
+        g = gen.cycle(6).graph
+        witnesses = dict(is_monitoring_set(g, [0, 1]).witnesses)
+        assert (3, 4) not in witnesses
+        if lie == "false_witness":
+            witnesses[(3, 4)] = (0, 3)
+        fake = SimpleNamespace(witnesses=witnesses, uncovered=frozenset(), is_monitoring=True)
+        monkeypatch.setattr(solvers, "is_monitoring_set", lambda g, ms: fake)
+        assert not verify_dem_result(g, DemResult(2, (0, 1), "greedy", False, g))
+
+    def test_rejects_exact_claim_larger_than_the_core(self):
+        # A C5 core with three pendant vertices: dem is 2, and all 8
+        # vertices, claimed exact, are more monitors than the core has
+        # vertices, so the core itself is the smaller set.
+        g = build_graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (1, 6), (2, 7)])
+        res = dem_exact(g)
+        assert (res.value, res.exact) == (2, True)
+        assert verify_dem_result(g, res)
+        assert not verify_dem_result(g, replace(res, value=8, monitor_set=tuple(range(8))))
+
+    def test_grid30_in_seconds(self):
+        # Coverage costs one BFS per edge, not one per edge and monitor:
+        # grid30x30 has 1,740 edges and 30 monitors.
+        src = str(Path(demkit.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "from demkit import dem_exact, verify_dem_result, generators as gen\n"
+            "g = gen.grid(30, 30).graph\n"
+            "assert verify_dem_result(g, dem_exact(g))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=5,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_c6_candidate_decided_by_oracle(self):
         g = gen.cycle(6).graph
