@@ -9,6 +9,7 @@ lexicographically by id.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -60,8 +61,40 @@ class LoadedGraph:
         return ids
 
 
+_ID = "(?:0|[1-9][0-9]*)"
+# demkit's own form, as format_edgelist writes it: `#` comment lines, the
+# header `n m`, then `u v` lines of decimal ids, each line ended by one
+# "\n".  A comment holds none of the other line breaks that str.splitlines
+# knows, so that the lines read here are the lines the line reader reads.
+_CANONICAL = re.compile(
+    rf"((?:#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*\n)*)({_ID}) ({_ID})\n((?:{_ID} {_ID}\n)*)"
+)
+
+
 def parse_edgelist(text: str) -> LoadedGraph:
-    """Parse the edge-list format; raises FormatError on malformed input."""
+    """Parse the edge-list format; raises FormatError on malformed input.
+
+    demkit's own form is read in one pass.  Any other text goes to the
+    line reader, and so does a canonical text whose header miscounts the
+    edges or whose ids are labels (one is n or more): that reader alone
+    reads labels and words the errors.
+    """
+    match = _CANONICAL.fullmatch(text)
+    if match is not None:
+        comments, n, m, body = match.groups()
+        try:
+            n, m, ids = int(n), int(m), list(map(int, body.split()))
+        except ValueError:  # more digits than int() converts
+            return _parse_lines(text)
+        if len(ids) == 2 * m and (not ids or max(ids) < n):
+            comments = [line[1:].strip() for line in comments.splitlines()]
+            return _loaded(n, list(zip(ids[::2], ids[1::2])), None, comments)
+    return _parse_lines(text)
+
+
+def _parse_lines(text: str) -> LoadedGraph:
+    """The line reader: any line breaks, blank lines, comments anywhere,
+    runs of whitespace and labels."""
     comments = []
     data_lines = []
     for raw in text.splitlines():
@@ -93,6 +126,10 @@ def parse_edgelist(text: str) -> LoadedGraph:
         tokens += parts
 
     labels, id_edges = _map_labels(n, tokens)
+    return _loaded(n, id_edges, labels, comments)
+
+
+def _loaded(n: int, id_edges: list, labels, comments: list) -> LoadedGraph:
     loaded = LoadedGraph(graph=Graph(n, id_edges), labels=labels)
     loaded.roles = _parse_roles(comments, loaded)
     return loaded

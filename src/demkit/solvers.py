@@ -531,10 +531,11 @@ def verify_dem_result(g: Graph, result: DemResult) -> bool:
 
     A certificate built on g (result's own may be on another graph) must
     give every edge e of g a witness (x, y), x a monitor, and a BFS on G-e
-    must show d(x, y) change: one BFS per edge and one per monitor.  For
-    exact results on cores of at most 12 vertices, minimality is
-    re-established by exhaustive subset search; adding monitors never
-    uncovers an edge, so the subsets of size value - 1 decide it.
+    must show d(x, y) change: one BFS per edge and one per monitor.  For a
+    result that claims exact, whatever its method, on a core of at most 12
+    vertices, minimality is re-established by exhaustive subset search;
+    adding monitors never uncovers an edge, so the subsets of size
+    value - 1 decide it.
     """
     ms = sorted(set(result.monitor_set))
     if result.value != len(ms):
@@ -551,7 +552,7 @@ def verify_dem_result(g: Graph, result: DemResult) -> bool:
         after = _bfs(g, x, skip=canonical_edge(*e))
         if before[x][y] == after[y]:
             return False
-    if result.method == "exact" and result.exact and result.value > 1:
+    if result.exact and result.value > 1:
         gb = base_graph(g).graph
         if gb.n <= 12:
             naive = {x: em_set_naive(gb, x).edges for x in range(gb.n)}

@@ -233,6 +233,27 @@ class TestGenAndFiles:
         out, err = capsys.readouterr()
         assert out == "" and f"unknown vertex label '{vertex}'" in err
 
+    def test_other_shapes_of_a_gen_file_answer_alike(self, capsys, tmp_path):
+        # demkit's own form is read in one pass and any other shape line by
+        # line; through main both give the same bytes and exit codes.
+        gen_file = tmp_path / "gen.el"
+        assert main(["gen", "random:14,0.3", "--seed", "2", "--output", str(gen_file)]) == 0
+        text = gen_file.read_text()
+        lines = text.splitlines(keepends=True)
+        head = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        copies = {
+            "crlf": text.replace("\n", "\r\n"),
+            "tabs": text.replace(" ", "\t"),
+            "comment": "".join(lines[:head + 1] + ["# a comment in the body\n"] + lines[head + 1:]),
+        }
+        for command in (["dem"], ["verify", "--monitors", "all"]):
+            want = run_cli(capsys, *command, str(gen_file))
+            assert want[0] == 0
+            for name, copy in copies.items():
+                path = tmp_path / f"{name}.el"
+                path.write_bytes(copy.encode())
+                assert run_cli(capsys, *command, str(path)) == want, (command, name)
+
     def test_ad_seeded(self, capsys):
         code, out1 = run_cli(capsys, "gen", "ad:3,2,1", "--seed", "5")
         code, out2 = run_cli(capsys, "gen", "ad:3,2,1", "--seed", "5")

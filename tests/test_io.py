@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from demkit import FormatError, Graph
 from demkit import generators as gen
+from demkit import io as demkit_io
+from demkit.cli import main
 from demkit.io import format_edgelist, load_edgelist, parse_edgelist, to_dot, write_edgelist
 
 from oracles import graph_reference, parse_edgelist_reference
@@ -167,6 +169,40 @@ class TestFormat:
         assert "penwidth=2" in dot
 
 
+class TestOnePassReader:
+    # Every text that demkit writes is read without the line reader, so a
+    # writer that strays from the one-pass form fails here rather than
+    # silently slowing every load.
+    @pytest.fixture
+    def no_line_reader(self, monkeypatch):
+        def refuse(text):
+            raise AssertionError(f"line reader called on {text[:40]!r}")
+
+        monkeypatch.setattr(demkit_io, "_parse_lines", refuse)
+
+    def test_format_edgelist_texts(self, no_line_reader):
+        tree = gen.random_tree(800, 5)
+        chords = [(0, 400), (17, 799), (250, 612), (3, 4)]
+        star = gen.double_star(3, 2)
+        cases = [
+            (Graph(0), (), {}),
+            (Graph(3), ("no edges",), {}),
+            (gen.grid(35, 35).graph, (), {}),
+            (Graph(800, list(tree.edges()) + chords), ("tree:800 seed=5 chords=4",), {}),
+            (star.graph, ("family=double_star", "# nested", ""), star.designated),
+        ]
+        for g, comments, roles in cases:
+            loaded = parse_edgelist(format_edgelist(g, comments, roles))
+            assert (loaded.graph, loaded.labels, loaded.roles) == (g, None, roles)
+
+    @pytest.mark.parametrize("spec", ["grid:35,35", "tree:800", "doublestar:3,2", "ad:3,2,1"])
+    def test_gen_files(self, no_line_reader, tmp_path, spec):
+        path = tmp_path / "g.el"
+        assert main(["gen", spec, "--seed", "3", "--output", str(path)]) == 0
+        loaded = load_edgelist(path)
+        assert loaded.labels is None and loaded.graph.n > 0
+
+
 def _outcome(parse, text):
     """What parse makes of text: the loaded graph, labels and roles, or the
     type and message of the error it raises."""
@@ -228,12 +264,90 @@ def _edge_list_texts(draw):
     return "\n".join(draw(_SPACE) + line + draw(_SPACE) for line in lines) + "\n"
 
 
+@st.composite
+def _canonical_texts(draw):
+    """What format_edgelist writes: random graphs on 0-10 vertices, with
+    and without header comments and roles."""
+    n = draw(st.integers(0, 10))
+    pairs = draw(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=12))
+    edges = {(min(u, v), max(u, v)) for u, v in pairs if u != v and max(u, v) < n}
+    comments = draw(st.lists(
+        st.sampled_from(["family=tree", "params=n=5", "seed=1", "a comment", "", " hub = 1 "]),
+        max_size=3,
+    ))
+    roles = draw(st.dictionaries(
+        st.sampled_from(["hub", "center1", "rim"]), st.integers(0, max(n - 1, 0)), max_size=2,
+    )) if n else {}
+    return format_edgelist(Graph(n, edges), header_comments=comments, roles=roles)
+
+
+# Line breaks that str.splitlines honours besides "\n".
+_BREAKS = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+
+
+@st.composite
+def _mutated_texts(draw):
+    """A canonical text with one mutation: another line break, a tab or a
+    double space, a token with a leading zero or sign, no final newline, a
+    blank line, a comment in the body, a duplicate edge, a self-loop, an
+    out-of-range id, or m off by one."""
+    lines = draw(_canonical_texts()).split("\n")[:-1]
+    head = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    n, m = map(int, lines[head].split())
+    body = lines[head + 1:]
+    line = draw(st.integers(0, len(lines) - 1))
+    data = draw(st.integers(head, len(lines) - 1))
+    kind = draw(st.sampled_from(
+        _BREAKS + ["\t", "  ", "007", "+1", "final", "blank", "comment",
+                   "duplicate", "self-loop", "range", "m+1", "m-1"]
+    ))
+    added = None
+    if kind in _BREAKS:
+        return "\n".join(lines[:line + 1]) + kind + "\n".join(lines[line + 1:]) + "\n"
+    if kind in ("\t", "  "):
+        lines[data] = lines[data].replace(" ", kind, 1)
+    elif kind in ("007", "+1"):
+        tokens = lines[data].split(" ")
+        at = draw(st.integers(0, 1))
+        tokens[at] = ("00" if kind == "007" else "+") + tokens[at]
+        lines[data] = " ".join(tokens)
+    elif kind == "final":
+        return "\n".join(lines)
+    elif kind == "blank":
+        lines.insert(line + 1, "")
+    elif kind == "comment":
+        lines.insert(draw(st.integers(head + 1, len(lines))), "# hub=0")
+    elif kind == "duplicate":
+        added = draw(st.sampled_from(body)) if body else "0 1"
+    elif kind == "self-loop":
+        v = draw(st.integers(0, max(n - 1, 0)))
+        added = f"{v} {v}"
+    elif kind == "range":
+        added = f"0 {n + draw(st.integers(0, 2))}"
+    else:
+        lines[head] = f"{n} {m + (1 if kind == 'm+1' else -1)}"
+    if added is not None:
+        lines[head] = f"{n} {m + 1}"
+        lines.insert(draw(st.integers(head + 1, len(lines))), added)
+    return "\n".join(lines) + "\n"
+
+
 class TestLoaderParity:
     # The loader reads the tokens and builds the graph in bulk; it must load
     # what the line-by-line loader loaded, or fail with its error.
     @settings(max_examples=600, deadline=None)
     @given(_edge_list_texts())
     def test_same_graph_labels_roles_or_error(self, text):
+        assert _outcome(parse_edgelist, text) == _outcome(parse_edgelist_reference, text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_canonical_texts())
+    def test_canonical_texts(self, text):
+        assert _outcome(parse_edgelist, text) == _outcome(parse_edgelist_reference, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_mutated_texts())
+    def test_mutated_canonical_texts(self, text):
         assert _outcome(parse_edgelist, text) == _outcome(parse_edgelist_reference, text)
 
     @pytest.mark.parametrize("text", [
@@ -249,9 +363,19 @@ class TestLoaderParity:
         "x y\n0 1\n",
         "# hub=1\n\n  3 2  \n0 1\n\n# a comment\n1 2\n",
         "0 0\n",
+        # str.splitlines ends a line at each of these breaks, not only at "\n".
+        "# hub=4\x852 1\n5 1\n1 2\n",
+        *[f"# c{brk}3 1\n5 1\n1 2\n" for brk in "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"],
     ])
     def test_named_texts(self, text):
         assert _outcome(parse_edgelist, text) == _outcome(parse_edgelist_reference, text)
+
+    def test_more_digits_than_int_reads(self):
+        # int() refuses a decimal string past 4,300 digits, in the header
+        # or as an id.
+        big = "1" + "0" * 5000
+        for text in (f"{big} 0\n", f"3 1\n0 {big}\n"):
+            assert _outcome(parse_edgelist, text) == _outcome(parse_edgelist_reference, text)
 
     @settings(max_examples=400, deadline=None)
     @given(

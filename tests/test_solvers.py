@@ -608,6 +608,8 @@ class TestVerifyDemResult:
         res.value = 3
         res.monitor_set = (0, 2, 4)
         assert not verify_dem_result(g, res)
+        # A claim of exact=True is rechecked whatever method it names.
+        assert not verify_dem_result(g, replace(res, method="greedy"))
 
     def test_certificate_built_on_the_given_graph(self):
         # g2 is g1 plus the edge 24, and both have the exact set (2, 3), so
