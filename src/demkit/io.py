@@ -187,8 +187,19 @@ def _parse_roles(comments, loaded: LoadedGraph) -> dict:
 
 
 def load_edgelist(path) -> LoadedGraph:
-    with open(path, "r", encoding="utf-8") as fp:
-        return parse_edgelist(fp.read())
+    """Read and parse an edge-list file, which must be UTF-8 text.
+
+    The bytes are decoded whole, so a decoding error names its offset in
+    the file.  Line breaks are left to the parser, which reads CR LF and a
+    lone CR as line ends too.
+    """
+    with open(path, "rb") as fp:
+        data = fp.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"cannot read {path}: byte {exc.start} is not UTF-8") from None
+    return parse_edgelist(text)
 
 
 def format_edgelist(g: Graph, header_comments=(), roles=None) -> str:
@@ -205,6 +216,12 @@ def format_edgelist(g: Graph, header_comments=(), roles=None) -> str:
 def write_edgelist(path, g: Graph) -> None:
     with open(path, "w", encoding="utf-8") as fp:
         fp.write(format_edgelist(g))
+
+
+def _dot_id(name) -> str:
+    """name as a quoted DOT ID: a backslash or quote in it is escaped, so
+    the ID ends at its own closing quote."""
+    return '"' + str(name).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def to_dot(
@@ -227,7 +244,7 @@ def to_dot(
         if v in monitors:
             attrs.append('style=filled fillcolor="lightblue"')
         attr_str = f" [{' '.join(attrs)}]" if attrs else ""
-        lines.append(f'  "{label(v)}"{attr_str};')
+        lines.append(f"  {_dot_id(label(v))}{attr_str};")
     for e in g.edges():
         attrs = []
         if e in uncovered:
@@ -235,6 +252,6 @@ def to_dot(
         elif e in highlight:
             attrs.append("penwidth=2")
         attr_str = f" [{' '.join(attrs)}]" if attrs else ""
-        lines.append(f'  "{label(e[0])}" -- "{label(e[1])}"{attr_str};')
+        lines.append(f"  {_dot_id(label(e[0]))} -- {_dot_id(label(e[1]))}{attr_str};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -52,6 +53,12 @@ class TestParse:
             parse_edgelist("two vertices\n0 1\n")
         with pytest.raises(FormatError):
             parse_edgelist("")
+
+    def test_not_utf8_is_a_format_error(self, tmp_path):
+        path = tmp_path / "bad.el"
+        path.write_bytes(b"3 2\n0 1\n1 \xff2\n")
+        with pytest.raises(FormatError, match="bad.el: byte 10 is not UTF-8"):
+            load_edgelist(path)
 
     def test_bad_edge_line(self):
         with pytest.raises(FormatError):
@@ -167,6 +174,22 @@ class TestFormat:
         assert 'fillcolor="lightblue"' in dot
         assert 'color="red" style=dashed' in dot
         assert "penwidth=2" in dot
+
+    def test_dot_escapes_quotes_and_backslashes(self, capsys, tmp_path):
+        # A label may hold `"` or `\`: each quoted ID must end at its own
+        # closing quote and read back as the label.
+        f = tmp_path / "quotes.el"
+        f.write_text('3 3\na"b c\nc d\\e\nd\\e a"b\n')
+        assert main(["em", str(f), "--vertex", 'a"b', "--format", "dot"]) == 0
+        out = capsys.readouterr().out
+        quoted = r'"((?:[^"\\]|\\.)*)"'
+        statement = re.compile(rf"  {quoted}(?: -- {quoted})?(?: \[[^\]]*\])?;")
+        names = set()
+        for line in out.splitlines()[1:-1]:
+            match = statement.fullmatch(line)
+            assert match, line
+            names.update(re.sub(r"\\(.)", r"\1", g) for g in match.groups() if g is not None)
+        assert names == {'a"b', "c", "d\\e"}
 
 
 class TestOnePassReader:
