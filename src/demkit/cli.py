@@ -3,9 +3,9 @@
 Subcommands: dem, em, pset, verify, bounds, char, gen.  Output formats are
 json (default), csv, dot, and text; identical inputs, flags, and seeds
 produce byte-identical output (solver wall-time is therefore omitted from
-reports).  Exit codes: 0 ok, 2 parse/parameter error or an input too large
-for memory, 3 disconnected input, 4 solver budget exhausted (partial output
-is still emitted).
+reports).  Exit codes: 0 ok, 2 parse/parameter error, an input too large
+for memory or output that stdout cannot encode, 3 disconnected input, 4
+solver budget exhausted (partial output is still emitted).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import io as _io
 import json
 import sys
 from itertools import combinations
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import generators
 from .errors import (
@@ -203,11 +204,49 @@ def _to_text(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+_INTS, _STRS = frozenset({int}), frozenset({str})
+
+
+def _to_json(value, newline: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte.
+
+    With indent set, the stdlib encodes item by item in pure Python: its C
+    encoder serves only indent=None.  Here each list of ints or of strings,
+    the bulk of every report, is one str.join over a C-level map; dicts and
+    other lists recurse, and bools, None and floats go to json.dumps.
+    newline is the line break and indent that precede value's closing
+    bracket.  Dict keys must be strings.
+    """
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        kinds = set(map(type, value))
+        if kinds == _INTS:
+            items = map(int.__repr__, value)
+        elif kinds == _STRS:
+            items = map(_quote, value)
+        else:
+            items = [_to_json(item, inner) for item in value]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [f"{_quote(key)}: {_to_json(value[key], inner)}" for key in sorted(value)]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    if type(value) is int:
+        return int.__repr__(value)
+    if type(value) is str:
+        return _quote(value)
+    return json.dumps(value)
+
+
 def _emit(args, loaded: LoadedGraph, body: dict, **dot_hints) -> None:
     """Write {"command": ..., **body} in --format; dot draws the input graph."""
     payload = {"command": args.command, **body}
     if args.format == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _to_json(payload) + "\n"
     elif args.format == "csv":
         text = _to_csv(payload)
     elif args.format == "text":
@@ -220,7 +259,15 @@ def _emit(args, loaded: LoadedGraph, body: dict, **dot_hints) -> None:
 def _write(output, text: str) -> None:
     """Write to the --output path if given, else to stdout."""
     if not output:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+        except UnicodeEncodeError as exc:
+            # The text is encoded whole before any of it is written, so
+            # stdout stays empty.
+            raise BadParameterError(
+                f"stdout's encoding {exc.encoding} cannot write {exc.object[exc.start]!r};"
+                " use --output or --format json"
+            )
         return
     try:
         with open(output, "w", encoding="utf-8") as fp:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from demkit import cli
 from demkit.cli import FORMATS, _build_parser, main
 from demkit.io import parse_edgelist
 
@@ -294,6 +295,24 @@ class TestDeterminismAndErrors:
             assert code == 2, argv
             assert "cannot write" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt, vertex", [("dot", "b"), ("text", "é"), ("csv", "é")])
+    def test_stdout_that_cannot_encode_a_label_exits_2(self, capsys, monkeypatch, tmp_path,
+                                                        fmt, vertex):
+        f = tmp_path / "u.el"
+        f.write_text("2 1\né b\n", encoding="utf-8")
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+        monkeypatch.setattr("sys.stdout", stdout)
+        assert main(["em", str(f), "--vertex", vertex, "--format", fmt]) == 2
+        stdout.flush()
+        assert stdout.buffer.getvalue() == b""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "ascii" in err and "--output" in err and "--format json" in err
+        # JSON escapes the label, so the same stdout takes it.
+        assert main(["em", str(f), "--vertex", vertex]) == 0
+        stdout.flush()
+        assert b'"\\u00e9"' in stdout.buffer.getvalue()
+
     def test_disconnected_exit3(self, capsys, tmp_path):
         f = tmp_path / "disc.el"
         f.write_text("4 2\n0 1\n2 3\n")
@@ -464,6 +483,100 @@ class TestLabelledGolden:
         f.write_text(LABELLED)
         assert main(["char", str(f), "--target", "3", "--tuple", "t,k,w"]) == 2
         assert "vertices ['t'] are not in the base graph" in capsys.readouterr().err
+
+
+# Labels that JSON must escape: a quote, a backslash, a control character
+# and two non-ASCII letters; 日 hangs off the 4-cycle.
+ODD_LABELS = '5 5\na"b c\\d\nc\\d e\x01f\ne\x01f é\né a"b\n日 a"b\n'
+
+SUBCOMMANDS = [
+    ("dem", "--method", "both"),
+    ("dem", "--budget", "1"),
+    ("em", "--vertex", "{0}"),
+    ("pset", "--monitors", "all", "--edge", "{0},{1}"),
+    ("pset", "--monitors", "{0}", "--edge", "{2},{3}"),
+    ("verify", "--monitors", "all"),
+    ("verify", "--monitors", "{0}"),
+    ("bounds",),
+    ("char", "--target", "1"),
+    ("char", "--target", "2"),
+    ("char", "--target", "3"),
+    ("char", "--target", "3", "--tuple", "{0},{1},{2}"),
+]
+
+
+def stdlib_json(payload) -> str:
+    """What the CLI wrote before it had its own writer."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(2**64, 2**80) | st.floats() | st.text(),
+    lambda inner: (
+        st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(st.text(), inner)
+        | st.lists(st.integers()) | st.lists(st.text())
+    ),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    """_to_json writes what json.dumps(indent=2, sort_keys=True) writes."""
+
+    @pytest.fixture
+    def payloads(self, monkeypatch):
+        seen = []
+        emit = cli._emit
+
+        def spy(args, loaded, body, **hints):
+            seen.append({"command": args.command, **body})
+            emit(args, loaded, body, **hints)
+
+        monkeypatch.setattr(cli, "_emit", spy)
+        return seen
+
+    @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=" ".join)
+    @pytest.mark.parametrize(
+        "source, names",
+        [
+            (["--gen", "petersen"], "0 1 2 3"),
+            ("lab.el", "k x m w"),
+            ("odd.el", 'a"b é c\\d e\x01f'),
+        ],
+        ids=["ids", "labelled", "escaped"],
+    )
+    def test_every_report(self, capsys, tmp_path, payloads, argv, source, names):
+        (tmp_path / "lab.el").write_text(LABELLED)
+        (tmp_path / "odd.el").write_text(ODD_LABELS, encoding="utf-8")
+        source = [str(tmp_path / source)] if isinstance(source, str) else source
+        argv = [a.format(*names.split()) for a in argv]
+        code, out = run_cli(capsys, *argv, *source)
+        assert code in (0, 4)
+        (payload,) = payloads
+        assert cli._to_json(payload) + "\n" == out == stdlib_json(payload)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"10": 1, "9": [], "": {}, "a": [True, False, None], "b": [1, True, 2]},
+            {"big": [2**64, -(2**70), 0], "one": 2**64, "t": (1, ("x", (2,)), ())},
+            ["\"\\\x00\x1f\x7f é 日 \U0001f600", "plain"],
+            [[], {}, [[]], [{}], {"x": []}],
+            [1.5, float("inf"), float("nan"), -0.0, 1e300],
+            [],
+            {},
+            None,
+            "日",
+            -3,
+        ],
+    )
+    def test_edge_cases(self, payload):
+        assert cli._to_json(payload) + "\n" == stdlib_json(payload)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(JSON_VALUES)
+    def test_nested_values(self, payload):
+        assert cli._to_json(payload) + "\n" == stdlib_json(payload)
 
 
 # ---------------------------------------------------------------------------

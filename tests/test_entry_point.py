@@ -4,7 +4,8 @@ Each row runs `python -m demkit ARGV` in a fresh directory, with the demkit
 this process imported first on PYTHONPATH: tier-1 runs the rows on src/,
 and CI, after `pip install .` and without src/ on the path, on the installed
 package.  Exit 0 or 4 must leave stderr empty; exit 2 or 3 must write one
-short `error: ` line.
+short `error: ` line.  A JSON report must be byte for byte what
+json.dumps(indent=2, sort_keys=True) writes for it.
 """
 
 import json
@@ -191,8 +192,12 @@ def test_row(row, tmp_path):
         assert _demkit(row.setup, tmp_path).returncode == 0, row.setup
     proc = _demkit(row.argv, tmp_path, row.mib, row.timeout)
     assert proc.returncode == row.code, (row.argv, proc.stderr)
+    out = proc.stdout
+    if out and "--format" not in row.argv:
+        out = json.loads(out)
+        # demkit writes JSON with its own writer; the bytes are the stdlib's.
+        assert proc.stdout == json.dumps(out, indent=2, sort_keys=True) + "\n", row.argv
     if row.got:
-        out = proc.stdout if "--format" in row.argv else json.loads(proc.stdout)
         assert row.got(out) == row.want, row.argv
 
 

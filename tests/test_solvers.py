@@ -162,6 +162,29 @@ class TestDemExact:
             assert 1 <= res.value <= g.n - 1
 
 
+class TestRelabelling:
+    """dem(G) does not depend on how G's vertices are numbered, while the
+    search's path does: an oracle past brute force's n <= 12 that needs no
+    second solver."""
+
+    @pytest.mark.parametrize(
+        "n, p, seed", [(20, 0.2, 1), (24, 0.2, 3), (26, 0.2, 4), (28, 0.15, 5), (30, 0.2, 3),
+                       (30, 0.3, 9)]
+    )
+    def test_value_and_exactness_survive(self, n, p, seed):
+        g = gen.random_connected(n, p, seed)
+        want = dem_exact(g)
+        assert want.exact
+        for k in range(3):
+            perm = list(range(n))
+            random.Random(k).shuffle(perm)
+            res = dem_exact(build_graph(n, [(perm[u], perm[v]) for u, v in g.edges()]))
+            assert (res.value, res.exact) == (want.value, True), k
+            back = {perm[v]: v for v in range(n)}
+            monitors = sorted(back[v] for v in res.monitor_set)
+            assert len(monitors) == want.value and is_monitoring_set(g, monitors).is_monitoring
+
+
 class TestSearchGolden:
     # Recorded before the EM sets were built from all sources at once and
     # before the packing bound read a precomputed table: neither may change
