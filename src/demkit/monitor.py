@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EdgeNotPresentError, NotZeroError
-from .graph import _MANY, Graph, _bfs, _check_vertex, _sweep, canonical_edge, require_connected
+from .graph import _MANY, Graph, _bfs, _bits, _check_vertex, _sweep, canonical_edge, require_connected
 
 
 @dataclass(frozen=True)
@@ -268,10 +268,22 @@ def p_set(g: Graph, monitors, e: tuple) -> PairSet:
     is as far from both or reaches neither; so x holds e exactly when
     d(x, u) or d(x, v) changes in G-e, and the end that changes is the far
     end.  Four BFS from the endpoints, in G and in G-e, find every holder
-    at once, since d(x, v) = d(v, x).  For a holder x, the targets whose
-    distance changes are the far endpoint's subtree in the dominator tree
-    of x's shortest-path DAG, read off one more sweep from x.  So the cost
-    is O((4 + h)(n + m)) for h holders, not the 2|M| BFS of the definition.
+    at once, since d(x, v) = d(v, x).
+
+    Then one level-synchronous BFS from the holders H, bit i for the i-th
+    holder, pushes two masks per vertex along g's neighbour lists.  At
+    level k, front[y] holds the holders at distance exactly k from y, and
+    ok[y] those of them with a shortest path to y that avoids e: the OR of
+    the ok masks of y's neighbours one level closer, e left out.  d(x, y)
+    changes in G-e exactly when no shortest x-y path avoids e, so
+    front[y] & ~ok[y] are y's changed pairs.  Over e, a holder's bit
+    reaches an endpoint at its own level only when that endpoint is the
+    holder's far end, so leaving e out is clearing, at u and at v, the ok
+    bits of the holders whose far end it is.  A changed target needs
+    every parent changed, so a holder past its far end that gains no pair
+    at a level gains none later: its bit leaves the sweep, which ends when
+    no bit is left.  The cost is O(L * m) operations on |H|-bit masks, L
+    the levels swept.
     """
     u, v = e
     if not g.has_edge(u, v):
@@ -282,20 +294,64 @@ def p_set(g: Graph, monitors, e: tuple) -> PairSet:
     u, v = edge = canonical_edge(u, v)
     du, dv = _bfs(g, u), _bfs(g, v)
     du_after, dv_after = _bfs(g, u, skip=edge), _bfs(g, v, skip=edge)
-    pairs = set()
-    for x in sorted(ms):
-        far = v if dv_after[x] != dv[x] else u if du_after[x] != du[x] else -1
-        if far < 0:
-            continue
-        order, _, idom = _dominators(g, x)
-        inside = [False] * g.n
-        inside[far] = True
-        pairs.add((x, far))
-        for y in order[order.index(far) + 1 :]:
-            if inside[idom[y]]:
-                inside[y] = True
-                pairs.add((x, y))
-    return PairSet(monitors=frozenset(ms), edge=edge, pairs=frozenset(pairs))
+    holders = [x for x in sorted(ms) if du_after[x] != du[x] or dv_after[x] != dv[x]]
+    h = len(holders)
+    unseen = [(1 << h) - 1] * g.n
+    # state: (y, front | ok << h) for the vertices y the last level reached.
+    # due[k]: the holders whose far end lies k steps away; far_u and far_v
+    # those whose far end is u or v.
+    state = []
+    due: dict = {}
+    far_u = far_v = 0
+    for i, x in enumerate(holders):
+        bit = 1 << i
+        unseen[x] ^= bit
+        state.append((x, bit | bit << h))
+        if dv_after[x] != dv[x]:
+            far_v |= bit
+            k = dv[x]
+        else:
+            far_u |= bit
+            k = du[x]
+        due[k] = due.get(k, 0) | bit
+    keep_u, keep_v = ~(far_u << h), ~(far_v << h)
+    # acc[y] gathers the states pushed to y at a level; waiting holds the
+    # holders whose far end lies past it, live those still swept.
+    adj = g._adj
+    acc = [0] * g.n
+    waiting = live = (1 << h) - 1
+    changed = []
+    level = 0
+    while state:
+        level += 1
+        touched = []
+        for w, s in state:
+            for y in adj[w]:
+                a = acc[y]
+                if not a:
+                    touched.append(y)
+                acc[y] = a | s
+        acc[u] &= keep_u
+        acc[v] &= keep_v
+        state = []
+        hit = 0
+        for y in touched:
+            a = acc[y]
+            acc[y] = 0
+            new = a & unseen[y] & live
+            if new:
+                unseen[y] ^= new
+                ok = (a >> h) & new
+                if new != ok:
+                    hit |= new ^ ok
+                    changed.append((y, new ^ ok))
+                state.append((y, new | ok << h))
+        waiting &= ~due.get(level, 0)
+        if hit | waiting != live:
+            live = hit | waiting
+            state = [(y, s) for y, s in state if s & live]
+    pairs = frozenset((holders[i], y) for y, bad in changed for i in _bits(bad))
+    return PairSet(monitors=frozenset(ms), edge=edge, pairs=pairs)
 
 
 def _dominators(g: Graph, x: int) -> tuple:

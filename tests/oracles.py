@@ -31,7 +31,7 @@ from demkit import (
 )
 from demkit.graph import Graph, _bfs, _check_vertex, canonical_edge, require_connected
 from demkit.io import LoadedGraph, _parse_roles
-from demkit.monitor import PairSet
+from demkit.monitor import PairSet, _dominators
 
 
 def relaxation_distances(g: Graph, source: int, skip=None):
@@ -559,6 +559,38 @@ def p_set_reference(g: Graph, monitors, e: tuple) -> PairSet:
         for y in range(g.n):
             if before[y] != after[y]:
                 pairs.add((x, y))
+    return PairSet(monitors=frozenset(ms), edge=edge, pairs=frozenset(pairs))
+
+
+def p_set_by_dominators(g: Graph, monitors, e: tuple) -> PairSet:
+    """``monitor.p_set`` as second written: one dominator tree per holder.
+
+    A monitor x holds e = (u, v) when deleting e changes d(x, far end).  x's
+    changed targets are then the far end's subtree in the dominator tree of
+    x's shortest-path DAG, ``monitor._dominators(g, x)``: the law
+    ``monitor._witness_pairs`` reads verify's witnesses off.  Equal to
+    ``p_set_reference`` on every input exactly when that law holds.
+    """
+    u, v = e
+    if not g.has_edge(u, v):
+        raise EdgeNotPresentError(f"edge ({u}, {v}) not in graph")
+    ms = set(monitors)
+    for x in ms:
+        _check_vertex(g, x)
+    u, v = edge = canonical_edge(u, v)
+    du, dv = _bfs(g, u), _bfs(g, v)
+    du_after, dv_after = _bfs(g, u, skip=edge), _bfs(g, v, skip=edge)
+    pairs = set()
+    for x in ms:
+        far = v if dv_after[x] != dv[x] else u if du_after[x] != du[x] else -1
+        if far < 0:
+            continue
+        order, _, idom = _dominators(g, x)
+        inside = {far}
+        for y in order[order.index(far) + 1 :]:
+            if idom[y] in inside:
+                inside.add(y)
+        pairs.update((x, y) for y in inside)
     return PairSet(monitors=frozenset(ms), edge=edge, pairs=frozenset(pairs))
 
 

@@ -8,13 +8,22 @@ reads only the file, so it needs no networkx.
 
 import hashlib
 import json
+import random
 from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 
-from demkit import build_graph, dem_exact, dem_greedy, em_set, em_set_naive, verify_dem_result
+from demkit import (
+    build_graph,
+    dem_exact,
+    dem_greedy,
+    em_set,
+    em_set_naive,
+    p_set,
+    verify_dem_result,
+)
 from demkit.graph import _bfs, base_graph
 from demkit.monitor import _em_holders
 from demkit.solvers import _cover_instance, _greedy_cover, _transpose
@@ -24,6 +33,8 @@ from oracles import (
     brute_minimum_monitoring,
     greedy_cover_reference,
     harmonic,
+    p_set_by_dominators,
+    p_set_reference,
     relaxation_distances,
 )
 
@@ -126,4 +137,29 @@ def test_pair_reports_golden():
     assert count == 16_137
     assert digest.hexdigest() == (
         "6e309f111c8600a9968ce432c4b726a1249b1f9c6b4ce228015d0d7fadcd4daf"
+    )
+
+
+def test_pair_sets_golden():
+    # P(V, e) and P(M, e), M a seeded half of the vertices, for every edge
+    # of every census graph: each equals the definition's two BFS per
+    # monitor, P(V, e) also the far end's dominator subtree per holder, and
+    # the pair count and a SHA-256 over the sorted pairs pin them all.
+    rng = random.Random(2022)
+    digest = hashlib.sha256()
+    count = 0
+    for g in census():
+        every = range(g.n)
+        half = rng.sample(every, g.n // 2)
+        for e in g.edges():
+            ps = p_set(g, every, e)
+            assert ps == p_set_reference(g, every, e) == p_set_by_dominators(g, every, e), (g, e)
+            some = p_set(g, half, e)
+            assert some == p_set_reference(g, half, e), (g, e, half)
+            for pairs in (ps.pairs, some.pairs):
+                digest.update((json.dumps(sorted(pairs)) + "\n").encode())
+                count += len(pairs)
+    assert count == 61_206
+    assert digest.hexdigest() == (
+        "3b37c200a0221428cb57e644041c8c3d437ecc9f0a5c930ed3cb8b7ae958bc73"
     )

@@ -96,8 +96,9 @@ ROWS = [
     Row("dem_random60_budget25588", f"{_R60} 25588", 4, _cut,
         (15, False, 25588, [2, 3, 7, 8, 13, 14, 21, 22, 24, 35, 41, 42, 52, 53, 59])),
     Row("dem_random60_budget25589", f"{_R60} 25589", 4, _cut, (14, False, 25589, _COVER)),
-    # P(M, e) from four endpoint BFS plus one sweep per monitor that
-    # holds the edge; the centre edge of a double star is a bridge.
+    # P(M, e) from four endpoint BFS plus one bit-parallel sweep from the
+    # 20 monitors that hold the edge; the centre edge of a double star is
+    # a bridge.
     Row("pset_grid20x20", "pset --gen grid:20,20 --monitors all --edge 90,91", 0,
         lambda r: r["size"], 198),
     Row("pset_doublestar", "pset --gen doublestar:3,3 --monitors all --edge centers", 0,

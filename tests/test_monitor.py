@@ -534,8 +534,9 @@ class TestPSetParity:
         assert p_set(g, monitors, e) == p_set_reference(g, monitors, e)
 
     def test_traversals_bounded_by_holders(self, monkeypatch):
-        # Four BFS from the endpoints, then one sweep per monitor that
-        # holds the edge: a count, so it does not depend on machine speed.
+        # Four BFS from the endpoints, then one bit-parallel sweep for all
+        # the monitors that hold the edge, which calls no traversal: a
+        # count, so it does not depend on machine speed.
         g = gen.grid(20, 20).graph
         e = (90, 91)
         want = p_set_reference(g, range(g.n), e)
@@ -547,11 +548,11 @@ class TestPSetParity:
             real = getattr(monitor, name)
             return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
 
-        for name in ("_bfs", "_sweep"):
+        for name in ("_bfs", "_sweep", "_dominators"):
             monkeypatch.setattr(monitor, name, counted(name))
         assert p_set(g, range(g.n), e) == want
         assert len(calls) <= 4 + len(holders) == 24
-        assert calls.count("_sweep") == len(holders)
+        assert calls == ["_bfs"] * 4
 
 
 class TestZeroReason:

@@ -1,6 +1,7 @@
 """Laws of the pair sets P(M, e): monotonicity, disjointness, fiber
-distinctness, global and cut-edge bounds, the holder law, and the
-complete-graph fibers."""
+distinctness, global and cut-edge bounds, the holder law, the
+complete-graph fibers, and symmetry, restriction and relabelling on graphs
+too large for the reference."""
 
 import random
 
@@ -11,6 +12,7 @@ from demkit import generators as gen
 from demkit.graph import _bfs
 
 from conftest import random_connected_graphs
+from oracles import p_set_reference
 
 
 def _component_sizes_after(g, e):
@@ -138,3 +140,70 @@ class TestLaws:
             for e in g.edges():
                 expected = len({e[0], e[1]} & monitors)
                 assert p_set(g, monitors, e).size == expected
+
+
+def _assert_large_laws(g, edges, seed):
+    # P(V, e) is symmetric, P(M, e) = P(V, e) & (M x V), and relabelling
+    # the graph relabels P(M, e): laws that hold at any size, so they
+    # check p_set where two BFS per monitor would take too long.  Returns
+    # the sizes of the P(V, e).
+    sizes = []
+    rng = random.Random(seed)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    moved = build_graph(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
+    for u, v in edges:
+        every = p_set(g, range(g.n), (u, v)).pairs
+        sizes.append(len(every))
+        assert every == {(y, x) for x, y in every}, (g, (u, v))
+        monitors = rng.sample(range(g.n), g.n // 2)
+        chosen = set(monitors)
+        some = p_set(g, monitors, (u, v)).pairs
+        assert some == {(x, y) for x, y in every if x in chosen}, (g, (u, v))
+        mapped = p_set(moved, [perm[x] for x in monitors], (perm[u], perm[v])).pairs
+        assert mapped == {(perm[x], perm[y]) for x, y in some}, (g, (u, v))
+    return sizes
+
+
+class TestLargeLaws:
+    @pytest.mark.parametrize("n", [100, 250, 400])
+    def test_random_graphs(self, n):
+        g = gen.random_connected(n, 8 / n, seed=n)
+        rng = random.Random(n)
+        _assert_large_laws(g, rng.sample(sorted(g.edges()), 3), seed=n)
+
+    def test_random_tree(self):
+        t = gen.random_tree(1000, 3)
+        rng = random.Random(3)
+        edges = [(0, t.neighbors(0)[0]), *rng.sample(sorted(t.edges()), 2)]
+        for e, size in zip(edges, _assert_large_laws(t, edges, seed=3)):
+            n1, n2 = _component_sizes_after(t, e)
+            assert size == 2 * n1 * n2
+
+    def test_tree_plus_chords(self):
+        rng = random.Random(5)
+        t = gen.random_tree(400, 5)
+        chords = [tuple(rng.sample(range(t.n), 2)) for _ in range(20)]
+        g = build_graph(t.n, [*t.edges(), *chords])
+        _assert_large_laws(g, rng.sample(sorted(g.edges()), 4), seed=5)
+
+    def test_long_pendant_path(self):
+        # A bridge from core vertex 0 to an 80-vertex path: every holder's
+        # changed targets run along the path, up to 80 levels past its far
+        # end, so the sweep must not stop at the far ends.  The same holds
+        # for the core edges at 0 and its neighbours whose far side
+        # carries the path.
+        core = gen.random_connected(40, 0.1, seed=9)
+        tail = 80
+        g = build_graph(
+            core.n + tail,
+            [*core.edges(), (0, core.n), *((core.n + i, core.n + i + 1) for i in range(tail - 1))],
+        )
+        near = {0, *core.neighbors(0)}
+        edges = [(0, core.n), (core.n + tail // 2, core.n + tail // 2 + 1)]
+        edges += [e for e in core.edges() if near & set(e)]
+        every = range(g.n)
+        for e in edges:
+            assert p_set(g, every, e) == p_set_reference(g, every, e), e
+        n1, n2 = _component_sizes_after(g, edges[0])
+        assert _assert_large_laws(g, edges[:2], seed=9)[0] == 2 * n1 * n2
