@@ -43,7 +43,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, run):
+        p.set_defaults(run=run)
         p.add_argument("input", nargs="?", help="edge-list file")
         p.add_argument("--gen", help="generator spec, e.g. complete:7 or grid:4,4")
         p.add_argument("--format", choices=FORMATS, default="json")
@@ -51,43 +52,37 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("dem", help="minimum monitoring set")
-    add_common(p)
+    add_common(p, cmd_dem)
     p.add_argument("--method", choices=("exact", "greedy", "both"), default="exact")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("em", help="edges monitored by one vertex")
-    add_common(p)
+    add_common(p, cmd_em)
     p.add_argument("--vertex", required=True)
 
     p = sub.add_parser("pset", help="distance-change pairs for one edge")
-    add_common(p)
+    add_common(p, cmd_pset)
     p.add_argument("--monitors", required=True, help="comma list or 'all'")
     p.add_argument("--edge", required=True, help="'u,v' or 'centers'")
 
     p = sub.add_parser("verify", help="certificate for a candidate monitor set")
-    add_common(p)
+    add_common(p, cmd_verify)
     p.add_argument("--monitors", required=True, help="comma list or 'all'")
 
     p = sub.add_parser("bounds", help="bound chain report")
-    add_common(p)
+    add_common(p, cmd_bounds)
 
     p = sub.add_parser("char", help="structural characterization checks")
-    add_common(p)
+    add_common(p, cmd_char)
     p.add_argument("--target", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--tuple", dest="tuple_", help="check this tuple instead of searching")
 
     p = sub.add_parser("gen", help="emit a generated family as an edge list")
+    p.set_defaults(run=cmd_gen)
     p.add_argument("family", help="generator spec, e.g. doublestar:3,3")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", help="write to file instead of stdout")
     return parser
-
-
-_GEN_USAGE = (
-    "path:n cycle:n complete:n star:leaves complete_bipartite:a,b grid:p,q "
-    "hypercube:d doublestar:a,b emk:n,k d1:n d2:n ad:d,s2,...,sd petersen "
-    "random:n,p tree:n"
-)
 
 
 def _ints(args: list) -> list:
@@ -106,34 +101,40 @@ def _tree_instance(n: int, seed: int) -> generators.FamilyInstance:
 def _instance_from_genspec(spec: str, seed: int) -> generators.FamilyInstance:
     name, _, rest = spec.partition(":")
     args = [a for a in rest.split(",") if a]
-    # family -> (constructor, arity, argument parser); arity None means d
-    # followed by at least one level size.
+    # family -> (constructor, parameter names, argument parser); the names
+    # before a "..." are the fewest parameters a family takes.
     families = {
-        "path": (generators.path, 1, _ints),
-        "cycle": (generators.cycle, 1, _ints),
-        "complete": (generators.complete, 1, _ints),
-        "star": (generators.star, 1, _ints),
-        "complete_bipartite": (generators.complete_bipartite, 2, _ints),
-        "grid": (generators.grid, 2, _ints),
-        "hypercube": (generators.hypercube, 1, _ints),
-        "doublestar": (generators.double_star, 2, _ints),
-        "emk": (generators.em_k_construction, 2, _ints),
-        "d1": (generators.d1_graph, 1, _ints),
-        "d2": (generators.d2_graph, 1, _ints),
-        "ad": (lambda d, *sizes: generators.a_d_graph(d, list(sizes), seed=seed), None, _ints),
-        "petersen": (generators.petersen, 0, _ints),
-        "random": (lambda n, p: _random_instance(n, p, seed), 2, lambda a: [int(a[0]), float(a[1])]),
-        "tree": (lambda n: _tree_instance(n, seed), 1, _ints),
+        "path": (generators.path, "n", _ints),
+        "cycle": (generators.cycle, "n", _ints),
+        "complete": (generators.complete, "n", _ints),
+        "star": (generators.star, "leaves", _ints),
+        "complete_bipartite": (generators.complete_bipartite, "a,b", _ints),
+        "grid": (generators.grid, "p,q", _ints),
+        "hypercube": (generators.hypercube, "d", _ints),
+        "doublestar": (generators.double_star, "a,b", _ints),
+        "emk": (generators.em_k_construction, "n,k", _ints),
+        "d1": (generators.d1_graph, "n", _ints),
+        "d2": (generators.d2_graph, "n", _ints),
+        "ad": (lambda d, *sizes: generators.a_d_graph(d, list(sizes), seed=seed), "d,s2,...,sd", _ints),
+        "petersen": (generators.petersen, "", _ints),
+        "random": (lambda n, p: _random_instance(n, p, seed), "n,p", lambda a: [int(a[0]), float(a[1])]),
+        "tree": (lambda n: _tree_instance(n, seed), "n", _ints),
     }
+
+    def usage(problem: str) -> BadParameterError:
+        specs = (f"{f}:{p}" if p else f for f, (_, p, _) in families.items())
+        return BadParameterError(f"{problem}; usage: {' '.join(specs)}")
+
     if name not in families:
-        raise BadParameterError(f"unknown family {name!r}; usage: {_GEN_USAGE}")
-    make, arity, parse = families[name]
-    if len(args) < 2 if arity is None else len(args) != arity:
-        raise BadParameterError(f"wrong number of parameters for {name}; usage: {_GEN_USAGE}")
+        raise usage(f"unknown family {name!r}")
+    make, params, parse = families[name]
+    names = params.split(",") if params else []
+    if len(args) < names.index("...") if "..." in names else len(args) != len(names):
+        raise usage(f"wrong number of parameters for {name}")
     try:
         values = parse(args)
     except ValueError:
-        raise BadParameterError(f"cannot parse parameters {rest!r} for {name}; usage: {_GEN_USAGE}")
+        raise usage(f"cannot parse parameters {rest!r} for {name}")
     return make(*values)
 
 
@@ -290,12 +291,10 @@ def cmd_dem(args) -> int:
     for m in methods:
         runs[m] = dem_exact(g, budget=args.budget) if m == "exact" else dem_greedy(g)
     results = {m: res.to_json(label=loaded.label) for m, res in runs.items()}
-    res = runs[methods[-1]]
-    hints = {"monitors": res.monitor_set}
-    if args.format == "dot":
-        # Only dot reads the certificate, which is built on first access.
-        hints["uncovered_edges"] = res.certificate.uncovered
-    _emit(args, loaded, {"n": g.n, "m": g.m, "results": results}, **hints)
+    # Every answer monitors every edge (solvers check the core's cover, and
+    # any vertex monitors a bridge), so dot draws no edge dashed.
+    body = {"n": g.n, "m": g.m, "results": results}
+    _emit(args, loaded, body, monitors=runs[methods[-1]].monitor_set)
     return 4 if any(r.stats.get("budget_exhausted") for r in runs.values()) else 0
 
 
@@ -354,28 +353,23 @@ def cmd_char(args) -> int:
     if base.was_tree:
         raise IsTreeError("tree input: the single-monitor characterization applies")
     gb, lift, back = base.graph, base.new_to_old, base.old_to_new
-
-    def to_base(tokens, count):
-        verts = _vertices(loaded, tokens)
-        if len(verts) != count:
-            raise BadParameterError(f"--tuple needs {count} vertices")
+    check = dem2_pair_check if args.target == 2 else dem3_triple_check
+    report = None
+    if args.tuple_:
+        verts = _vertices(loaded, args.tuple_)
+        if len(verts) != args.target:
+            raise BadParameterError(f"--tuple needs {args.target} vertices")
         missing = [loaded.label(v) for v in verts if back[v] is None]
         if missing:
             raise BadParameterError(f"vertices {missing} are not in the base graph")
-        return [back[v] for v in verts]
-
-    report = None
-    if args.target == 2 and args.tuple_:
-        report = dem2_pair_check(gb, *to_base(args.tuple_, 2))
+        report = check(gb, *[back[v] for v in verts])
     elif args.target == 2:
         report = dem2_first_pass(gb)
-    elif args.tuple_:
-        report = dem3_triple_check(gb, *to_base(args.tuple_, 3))
     else:
         # Ground truth drives the search; the rule report is data.
         for triple in combinations(range(gb.n), 3):
             if is_monitoring_set(gb, triple).is_monitoring:
-                report = dem3_triple_check(gb, *triple)
+                report = check(gb, *triple)
                 break
     out["found"] = report is not None
     if args.target == 3:
@@ -398,21 +392,10 @@ def cmd_gen(args) -> int:
     return 0
 
 
-_DISPATCH = {
-    "dem": cmd_dem,
-    "em": cmd_em,
-    "pset": cmd_pset,
-    "verify": cmd_verify,
-    "bounds": cmd_bounds,
-    "char": cmd_char,
-    "gen": cmd_gen,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except DisconnectedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

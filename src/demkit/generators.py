@@ -241,19 +241,22 @@ def a_d_graph(d: int, sizes, seed: int = 0, intra_edge_prob: float = 0.0) -> Fam
 def random_connected(n: int, edge_prob: float, seed: int) -> Graph:
     """G(n, p) conditioned on connectivity by rejection; seed-deterministic.
 
-    A p at which one sample almost surely has fewer than the n - 1 edges
-    a connected graph needs is rejected before any sampling.
+    Sampling gives up after _TRIES samples or _MAX_DRAWS pair draws,
+    whichever comes first, so an n with more pairs than _MAX_DRAWS is
+    rejected at once.  So is a p at which one sample almost surely has
+    fewer than the n - 1 edges a connected graph needs.
     """
     if n < 1:
         raise BadParameterError("need n >= 1")
     if not (0 < edge_prob <= 1):
         raise BadParameterError("edge probability must be in (0, 1]")
     hopeless = f"could not sample a connected graph with n={n}, p={edge_prob}"
-    if _few_edges_log_bound(n, edge_prob) < _HOPELESS_LOG:
+    tries = min(_TRIES, _MAX_DRAWS // max(n * (n - 1) // 2, 1))
+    if not tries or _few_edges_log_bound(n, edge_prob) < _HOPELESS_LOG:
         raise BadParameterError(hopeless)
     rng = random.Random(seed)
     pairs = list(combinations(range(n), 2))
-    for _ in range(100_000):
+    for _ in range(tries):
         edges = [e for e in pairs if rng.random() < edge_prob]
         if len(edges) < n - 1:
             continue  # too few edges to connect n vertices
@@ -263,6 +266,10 @@ def random_connected(n: int, edge_prob: float, seed: int) -> Graph:
     raise BadParameterError(hopeless)
 
 
+_TRIES = 100_000
+# The pair draws of _TRIES samples at n = 20: every n <= 20 keeps its
+# _TRIES samples, and a larger n gets fewer.
+_MAX_DRAWS = 19_000_000
 _HOPELESS_LOG = math.log(1e-12)
 
 
@@ -271,7 +278,7 @@ def _few_edges_log_bound(n: int, p: float) -> float:
 
     The edge count is Binomial(N, p) with N = n(n-1)/2 and mean mu = Np;
     for a = n - 1 > mu, P(X >= a) <= exp(a - mu - a ln(a / mu)).  0 (a
-    bound of 1) when a <= mu.  Below 1e-12, even the 100,000 tries of
+    bound of 1) when a <= mu.  Below 1e-12, even the _TRIES samples of
     random_connected all fall short with probability above 1 - 1e-7.
     """
     a = n - 1

@@ -403,11 +403,18 @@ def is_monitoring_set(g: Graph, monitors) -> MonitoringCertificate:
     G-e are exactly v's subtree in that DAG's dominator tree, so y is the
     lowest id in the subtree.  verify_dem_result re-checks each witness
     definitionally (BFS on G-e).
+
+    The pass keeps one |M|-bit row per vertex before it can tell that g
+    is disconnected, so with more than 64 monitors one BFS checks that
+    first.
     """
     ms = sorted(set(monitors))
     for x in ms:
         _check_vertex(g, x)
-    holders = _em_holders(g, ms, "monitoring-set verification")
+    what = "monitoring-set verification"
+    if len(ms) > 64:
+        require_connected(g, what)
+    holders = _em_holders(g, ms, what)
     return MonitoringCertificate(g, ms, holders)
 
 

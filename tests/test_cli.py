@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from demkit import cli
+from demkit import cli, solvers, structural
 from demkit.cli import FORMATS, _build_parser, main
 from demkit.io import parse_edgelist
 
@@ -85,10 +85,14 @@ class TestDemCommand:
         assert "millis" not in payload["results"]["exact"]["stats"]
 
     @pytest.mark.parametrize("fmt", FORMATS)
-    def test_certificate_read_only_for_dot(self, capsys, certificate_calls, fmt):
+    def test_builds_no_certificate(self, capsys, monkeypatch, fmt):
+        # Every answer monitors every edge, so no format, dot included,
+        # asks is_monitoring_set which edges are left uncovered.
+        calls = []
+        for module in (cli, solvers, structural):
+            monkeypatch.setattr(module, "is_monitoring_set", lambda g, ms: calls.append(ms))
         code, _ = run_cli(capsys, "dem", "--gen", "grid:4,4", "--method", "both", "--format", fmt)
-        assert code == 0
-        assert len(certificate_calls) == (fmt == "dot")
+        assert (code, calls) == (0, [])
 
     @pytest.mark.parametrize(
         "spec, digest",
@@ -167,6 +171,12 @@ class TestOtherCommands:
         for text in ("0,1,", ",0,1", "0,,1", " 0 , 1 "):
             got = run_cli(capsys, "char", "--gen", "petersen", "--target", "2", "--tuple", text)
             assert got == expected, text
+
+    @pytest.mark.parametrize("target, text", [("2", "0,1,2"), ("3", "0,1")])
+    def test_char_tuple_size_follows_target(self, capsys, target, text):
+        code = main(["char", "--gen", "petersen", "--target", target, "--tuple", text])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --tuple needs {target} vertices\n"
 
     def test_char_target3_emits_discrepancy(self, capsys):
         _, payload = run_json(capsys, "char", "--gen", "complete:4", "--target", "3")

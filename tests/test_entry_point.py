@@ -117,8 +117,16 @@ ROWS = [
     # Ten bytes declare a million isolated vertices: the reply is one
     # short line naming the component count, not a million sizes.
     Row("dem_million_isolated", "dem big.el", 3, files={"big.el": b"1000000 0\n"}, mib=512),
+    # With every vertex a monitor, verify finds the input disconnected
+    # before it builds a 200,000-bit monitor row per vertex: the exit is
+    # 3 under 1 GiB, as it is for two monitors.
+    Row("verify_isolated_all_1gib", "verify big.el --monitors all", 3,
+        files={"big.el": b"200000 0\n"}, mib=1024),
     # Bytes that are not UTF-8 are a format error, not a traceback.
     Row("dem_not_utf8", "dem bad.el", 2, files={"bad.el": b"\xff\xfe3 2\n0 1\n1 2\n"}),
+    # Rejection sampling draws at most 19,000,000 vertex pairs: at n = 400
+    # that is 238 samples, none of them connected, and the exit is 2.
+    Row("em_random400_hopeless", "em --gen random:400,0.00875 --vertex 0", 2, timeout=20),
     # dot draws a labelled file's own names, through the same label
     # callable as the JSON reports.
     Row("em_labelled_dot", "em c4.el --vertex a --format dot", 0,
@@ -151,8 +159,8 @@ ROWS = [
         ((False, 199_999, 1), [[100_000, 100_001]]), timeout=30),
     # char --target 3 asks only is_monitoring of each triple.
     Row("char_petersen_3", "char --gen petersen --target 3", 0, lambda r: r["found"], True),
-    # dem builds its certificate only for dot; a valid answer leaves
-    # no edge uncovered, so no edge is drawn dashed.
+    # dem never builds a certificate: a valid answer leaves no edge
+    # uncovered, so dot draws no edge dashed.
     Row("dem_grid5x5_dot", "dem --gen grid:5,5 --format dot", 0,
         lambda out: "style=dashed" in out, False),
     # One independent-set search gives the clique and vertex cover

@@ -235,3 +235,25 @@ class TestRandomGenerators:
     def test_bad_probability(self):
         with pytest.raises(BadParameterError):
             gen.random_connected(5, 0.0, seed=1)
+
+
+@pytest.mark.parametrize(
+    "make, args",
+    [
+        (gen.path, (0,)),
+        (gen.complete, (0,)),
+        (gen.complete_bipartite, (0, 1)),
+        (gen.join_with_empty, (gen.cycle(4).graph, 0)),
+        (gen.d1_graph, (6, [(0, 5)])),
+        (gen.a_d_graph, (3, [2, 0])),
+        (gen.random_connected, (0, 0.5, 0)),
+        (gen.random_tree, (0, 0)),
+        # More vertex pairs than random_connected's cap on pair draws.
+        (gen.random_connected, (6165, 0.5, 0)),
+    ],
+    ids=["path", "complete", "complete_bipartite", "join_with_empty", "d1_inner_edge", "a_d_level",
+         "random_connected", "random_tree", "random_connected_pairs"],
+)
+def test_bad_parameters_rejected(make, args):
+    with pytest.raises(BadParameterError):
+        make(*args)

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from demkit import (
     UNREACHABLE,
+    BadParameterError,
     DisconnectedError,
     EdgeNotPresentError,
     OutOfRangeError,
@@ -51,6 +52,12 @@ class TestBuildGraph:
     def test_out_of_range_rejected(self):
         with pytest.raises(OutOfRangeError):
             build_graph(3, [(0, 3)])
+        with pytest.raises(OutOfRangeError):
+            build_graph(3, [(0, 1)]).has_edge(0, 3)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(BadParameterError):
+            build_graph(-1, [])
 
     def test_duplicates_collapse(self):
         g = build_graph(3, [(0, 1), (1, 0), (0, 1)])
@@ -132,6 +139,11 @@ class TestDistanceAfterDeletion:
         with pytest.raises(EdgeNotPresentError):
             distance_after_deletion(g, (0, 2), 0, 2)
 
+    def test_vertex_out_of_range(self):
+        g = gen.cycle(4).graph
+        with pytest.raises(OutOfRangeError):
+            distance_after_deletion(g, (0, 1), 0, 4)
+
 
 class TestBridges:
     def test_tree_all_edges(self):
@@ -195,6 +207,10 @@ class TestBaseGraph:
             assert min(gb.degree(v) for v in range(gb.n)) >= 2
             assert gb.m - gb.n >= 0
 
+    def test_empty_graph_rejected(self):
+        with pytest.raises(BadParameterError):
+            base_graph(build_graph(0, []))
+
     def test_disconnected_rejected(self):
         g = build_graph(4, [(0, 1), (2, 3)])
         with pytest.raises(DisconnectedError) as exc:
@@ -236,6 +252,7 @@ class TestPredicates:
         g = gen.complete(6).graph
         assert is_complete(g)
         assert degree_extremes(g) == (5, 5)
+        assert degree_extremes(build_graph(0, [])) == (0, 0)
 
     def test_c4_neither(self):
         g = gen.cycle(4).graph

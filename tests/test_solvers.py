@@ -153,8 +153,9 @@ class TestDemExact:
                 dem_exact(g)
 
     def test_single_vertex_rejected(self):
-        with pytest.raises(BadParameterError):
-            dem_exact(build_graph(1, []))
+        for dem in (dem_exact, dem_greedy):
+            with pytest.raises(BadParameterError):
+                dem(build_graph(1, []))
 
     def test_value_range(self):
         for g in random_connected_graphs(25, 2, 10, seed=8):
@@ -624,6 +625,17 @@ class TestVerifyDemResult:
         res.value = 2
         res.monitor_set = (0, 1)
         assert not verify_dem_result(g, res)
+
+    @pytest.mark.parametrize(
+        "value, monitors",
+        # K4's dem is 3: a value that does not count the distinct
+        # monitors, and a monitor outside the graph.
+        [(3, (0, 1, 1)), (3, (0, 1, 4))],
+        ids=["repeated_monitor", "monitor_out_of_range"],
+    )
+    def test_rejects_a_malformed_result(self, value, monitors):
+        g = gen.complete(4).graph
+        assert not verify_dem_result(g, DemResult(value, monitors, "greedy", False, g))
 
     def test_rejects_non_minimal_exact_claim(self):
         g = gen.cycle(6).graph

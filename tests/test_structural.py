@@ -113,6 +113,11 @@ class TestDistanceRows:
         assert str(exc.value) == LAYER_MESSAGE
 
     @pytest.mark.parametrize("check", list(CELL_CHECKS))
+    def test_repeated_vertex(self, check):
+        with pytest.raises(BadParameterError, match="distinct"):
+            CELL_CHECKS[check](gen.cycle(5).graph, 0)
+
+    @pytest.mark.parametrize("check", list(CELL_CHECKS))
     def test_out_of_range(self, check):
         # The range check comes first, also on a disconnected graph.
         for g in (gen.cycle(5).graph, DISCONNECTED):
