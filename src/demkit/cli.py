@@ -340,6 +340,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_char(args) -> int:
+    if args.tuple_ and args.target == 1:
+        raise BadParameterError("--tuple applies to --target 2 or 3")
     loaded = _load(args)
     out = {"target": args.target}
     # Every target needs a connected graph with an edge, as dem does:

@@ -30,10 +30,29 @@ class FamilyInstance:
         return self.designated[name]
 
 
+# The most vertices, and the most edges, that a generator builds.  Each
+# constructor checks its counts from its parameters before it builds any
+# list, so a huge spec fails at once instead of exhausting memory.  The
+# largest graph that the tests and the benchmark corpus generate is
+# cycle:200000.
+_SIZE_CAP = 1_000_000
+
+
+def _check_size(family: str, n: int, m: int) -> None:
+    """Reject a family graph with more than _SIZE_CAP vertices or edges;
+    m may be an upper bound on the edge count."""
+    if n > _SIZE_CAP or m > _SIZE_CAP:
+        raise BadParameterError(
+            f"{family} graph too large: generators build at most {_SIZE_CAP:,} vertices"
+            f" and {_SIZE_CAP:,} edges"
+        )
+
+
 def path(n: int) -> FamilyInstance:
     """Path on n vertices, 0 - 1 - ... - (n-1)."""
     if n < 1:
         raise BadParameterError("path needs n >= 1")
+    _check_size("path", n, n - 1)
     g = Graph(n, [(i, i + 1) for i in range(n - 1)])
     return FamilyInstance(g, "path", {"n": n})
 
@@ -41,6 +60,7 @@ def path(n: int) -> FamilyInstance:
 def cycle(n: int) -> FamilyInstance:
     if n < 3:
         raise BadParameterError("cycle needs n >= 3")
+    _check_size("cycle", n, n)
     g = Graph(n, [(i, (i + 1) % n) for i in range(n)])
     return FamilyInstance(g, "cycle", {"n": n})
 
@@ -48,6 +68,7 @@ def cycle(n: int) -> FamilyInstance:
 def complete(n: int) -> FamilyInstance:
     if n < 1:
         raise BadParameterError("complete graph needs n >= 1")
+    _check_size("complete", n, n * (n - 1) // 2)
     g = Graph(n, combinations(range(n), 2))
     return FamilyInstance(g, "complete", {"n": n})
 
@@ -56,6 +77,7 @@ def star(leaves: int) -> FamilyInstance:
     """Star with a designated center (vertex 0) and `leaves` leaves."""
     if leaves < 1:
         raise BadParameterError("star needs at least one leaf")
+    _check_size("star", leaves + 1, leaves)
     g = Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
     return FamilyInstance(g, "star", {"leaves": leaves}, {"center": 0})
 
@@ -64,6 +86,7 @@ def complete_bipartite(a: int, b: int) -> FamilyInstance:
     """K_{a,b}; the first side is vertices 0..a-1, the second a..a+b-1."""
     if a < 1 or b < 1:
         raise BadParameterError("complete bipartite needs both sides nonempty")
+    _check_size("complete_bipartite", a + b, a * b)
     g = Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
     return FamilyInstance(g, "complete_bipartite", {"a": a, "b": b})
 
@@ -72,6 +95,7 @@ def grid(p: int, q: int) -> FamilyInstance:
     """p x q grid; vertex (r, c) has id r*q + c."""
     if p < 2 or q < 2:
         raise BadParameterError("grid needs p, q >= 2")
+    _check_size("grid", p * q, p * (q - 1) + q * (p - 1))
     edges = []
     for r in range(p):
         for c in range(q):
@@ -86,7 +110,9 @@ def hypercube(d: int) -> FamilyInstance:
     """d-dimensional hypercube; vertices are bitstrings, edges flip one bit."""
     if d < 1:
         raise BadParameterError("hypercube needs d >= 1")
-    n = 1 << d
+    # 1 << d for a huge d would not fit in memory; 2^64 is past the cap.
+    n = 1 << min(d, 64)
+    _check_size("hypercube", n, d * n // 2)
     edges = [(v, v | (1 << b)) for v in range(n) for b in range(d) if not v & (1 << b)]
     return FamilyInstance(Graph(n, edges), "hypercube", {"d": d})
 
@@ -107,6 +133,7 @@ def double_star(a: int, b: int) -> FamilyInstance:
     """
     if not (a >= b >= 0):
         raise BadParameterError("double star needs a >= b >= 0")
+    _check_size("double_star", a + b + 2, a + b + 1)
     edges = [(0, 1)]
     edges += [(0, 2 + i) for i in range(a)]
     edges += [(1, 2 + a + i) for i in range(b)]
@@ -116,6 +143,7 @@ def double_star(a: int, b: int) -> FamilyInstance:
 
 def join(g: Graph, h: Graph) -> Graph:
     """Disjoint union of g and h plus all edges between the two sides."""
+    _check_size("join", g.n + h.n, g.m + h.m + g.n * h.n)
     edges = list(g.edges())
     off = g.n
     edges += [(u + off, v + off) for u, v in h.edges()]
@@ -127,6 +155,7 @@ def join_with_empty(g: Graph, m: int) -> FamilyInstance:
     """g joined with m isolated apex vertices, each adjacent to all of g."""
     if m < 1:
         raise BadParameterError("join_with_empty needs m >= 1")
+    _check_size("join_with_empty", g.n + m, g.m + g.n * m)
     joined = join(g, Graph(m))
     designated = {f"apex{i + 1}": g.n + i for i in range(m)}
     return FamilyInstance(joined, "join_with_empty", {"n": g.n, "m": m}, designated)
@@ -147,6 +176,7 @@ def em_k_construction(n: int, k: int) -> FamilyInstance:
         raise BadParameterError(
             "outer vertices need two distinct attachment points, so k >= 2 when n > k + 1"
         )
+    _check_size("em_k", n, k + 2 * rest)
     v = k
     edges = [(i, v) for i in range(k)]
     for t in range(rest):
@@ -157,6 +187,7 @@ def em_k_construction(n: int, k: int) -> FamilyInstance:
 
 
 def _d_family(n: int, d_edges, with_center_edge: bool, name: str) -> FamilyInstance:
+    _check_size(name, n, 2 * (n - 2) + with_center_edge + len(d_edges or ()))
     v, u1, u2 = 0, 1, 2
     edges = [(v, u1), (v, u2)]
     if with_center_edge:
@@ -213,6 +244,9 @@ def a_d_graph(d: int, sizes, seed: int = 0, intra_edge_prob: float = 0.0) -> Fam
             raise BadParameterError(f"level {level} needs at least 2 vertices")
         if level == d and s < 1:
             raise BadParameterError("last level needs at least 1 vertex")
+    # Each vertex joins at most every vertex of the level above and of its own.
+    widths = [1, 2, *sizes]
+    _check_size("a_d", sum(widths), sum(a * b + b * b for a, b in zip(widths, widths[1:])))
     rng = random.Random(seed)
     levels = [[0], [1, 2]]
     nxt = 3
@@ -242,8 +276,8 @@ def random_connected(n: int, edge_prob: float, seed: int) -> Graph:
     """G(n, p) conditioned on connectivity by rejection; seed-deterministic.
 
     Sampling gives up after _TRIES samples or _MAX_DRAWS pair draws,
-    whichever comes first, so an n with more pairs than _MAX_DRAWS is
-    rejected at once.  So is a p at which one sample almost surely has
+    whichever comes first.  An n with more than _SIZE_CAP vertex pairs is
+    rejected at once, and so is a p at which one sample almost surely has
     fewer than the n - 1 edges a connected graph needs.
     """
     if n < 1:
@@ -251,8 +285,10 @@ def random_connected(n: int, edge_prob: float, seed: int) -> Graph:
     if not (0 < edge_prob <= 1):
         raise BadParameterError("edge probability must be in (0, 1]")
     hopeless = f"could not sample a connected graph with n={n}, p={edge_prob}"
-    tries = min(_TRIES, _MAX_DRAWS // max(n * (n - 1) // 2, 1))
-    if not tries or _few_edges_log_bound(n, edge_prob) < _HOPELESS_LOG:
+    candidates = n * (n - 1) // 2
+    _check_size("random", n, candidates)
+    tries = min(_TRIES, _MAX_DRAWS // max(candidates, 1))
+    if _few_edges_log_bound(n, edge_prob) < _HOPELESS_LOG:
         raise BadParameterError(hopeless)
     rng = random.Random(seed)
     pairs = list(combinations(range(n), 2))
@@ -292,6 +328,7 @@ def random_tree(n: int, seed: int) -> Graph:
     """Uniform random labelled tree (Pruefer decoding); seed-deterministic."""
     if n < 1:
         raise BadParameterError("need n >= 1")
+    _check_size("tree", n, n - 1)
     if n == 1:
         return Graph(1)
     if n == 2:

@@ -256,19 +256,43 @@ def em_set_naive(g: Graph, x: int) -> EmSet:
     return EmSet(monitor=x, edges=frozenset(edges))
 
 
+def _edge_rows(g: Graph, monitors, e: tuple) -> tuple:
+    """(M, e, du, dv) for P(M, e): the monitors as a set, e as (min, max),
+    and the distance rows from u and from v in G-e, n + 1 for unreachable.
+
+    The gap rule.  A shortest x-u path that uses e = (u, v) ends with e, so
+    d_G(x, u) = min(du[x], dv[x] + 1), and likewise for v: the two rows in
+    G-e decide G's distances too.  Write gap = dv[x] - du[x].  At |gap| >= 2
+    x holds e: deleting e lengthens x's distance to the far end, v when gap
+    > 0 and u when gap < 0, which lies min(du[x], dv[x]) + 1 away in G.  At
+    gap 0, x is as far from both ends ("equidistant"); at gap +-1, the far
+    end keeps its distance through a detour ("detour_preserves_distance").
+    Then x keeps its distance to both ends, and so to every vertex: a
+    shortest path through e reaches the far end first, and another shortest
+    path to the far end replaces that prefix.  n + 1 keeps the rule whole:
+    a vertex that reaches one end only in G-e has |gap| >= 2, and one that
+    reaches neither has gap 0.
+    """
+    u, v = e
+    if not g.has_edge(u, v):
+        raise EdgeNotPresentError(f"edge ({u}, {v}) not in graph")
+    ms = set(monitors)
+    for x in ms:
+        _check_vertex(g, x)
+    edge = canonical_edge(u, v)
+    far = g.n + 1
+    du, dv = ([far if d < 0 else d for d in _bfs(g, s, skip=edge)] for s in edge)
+    return ms, edge, du, dv
+
+
 def p_set(g: Graph, monitors, e: tuple) -> PairSet:
     """P(M, e): ordered pairs (x, y), x in M, with d_G(x,y) != d_{G-e}(x,y).
 
     A target that deletion disconnects from its monitor counts as changed
     (finite -> unreachable is a distance change).
 
-    Only a monitor that holds e contributes: one for which deleting e
-    changes its distance to the far endpoint.  Deleting e = (u, v) never
-    changes d(x, nearer end), and leaves both ends' distances alone when x
-    is as far from both or reaches neither; so x holds e exactly when
-    d(x, u) or d(x, v) changes in G-e, and the end that changes is the far
-    end.  Four BFS from the endpoints, in G and in G-e, find every holder
-    at once, since d(x, v) = d(v, x).
+    Only a monitor that holds e contributes, and _edge_rows' two BFS on G-e
+    give, by the gap rule, every holder, its far end and its distance to it.
 
     Then one level-synchronous BFS from the holders H, bit i for the i-th
     holder, pushes two masks per vertex along g's neighbour lists.  At
@@ -285,16 +309,9 @@ def p_set(g: Graph, monitors, e: tuple) -> PairSet:
     no bit is left.  The cost is O(L * m) operations on |H|-bit masks, L
     the levels swept.
     """
-    u, v = e
-    if not g.has_edge(u, v):
-        raise EdgeNotPresentError(f"edge ({u}, {v}) not in graph")
-    ms = set(monitors)
-    for x in ms:
-        _check_vertex(g, x)
-    u, v = edge = canonical_edge(u, v)
-    du, dv = _bfs(g, u), _bfs(g, v)
-    du_after, dv_after = _bfs(g, u, skip=edge), _bfs(g, v, skip=edge)
-    holders = [x for x in sorted(ms) if du_after[x] != du[x] or dv_after[x] != dv[x]]
+    ms, edge, du, dv = _edge_rows(g, monitors, e)
+    u, v = edge
+    holders = [x for x in sorted(ms) if abs(dv[x] - du[x]) >= 2]
     h = len(holders)
     unseen = [(1 << h) - 1] * g.n
     # state: (y, front | ok << h) for the vertices y the last level reached.
@@ -307,12 +324,11 @@ def p_set(g: Graph, monitors, e: tuple) -> PairSet:
         bit = 1 << i
         unseen[x] ^= bit
         state.append((x, bit | bit << h))
-        if dv_after[x] != dv[x]:
+        if du[x] < dv[x]:
             far_v |= bit
-            k = dv[x]
         else:
             far_u |= bit
-            k = du[x]
+        k = min(du[x], dv[x]) + 1
         due[k] = due.get(k, 0) | bit
     keep_u, keep_v = ~(far_u << h), ~(far_v << h)
     # acc[y] gathers the states pushed to y at a level; waiting holds the
@@ -464,18 +480,16 @@ _ZERO_LABELS = {"equidistant": "ii", "detour_preserves_distance": "iii"}
 
 
 def p_set_size_zero_reason(g: Graph, monitors, e: tuple) -> PairSetZeroReason:
-    """Classify an empty P(M, e); raises NotZeroError when it is not empty."""
-    ps = p_set(g, monitors, e)
-    if ps.pairs:
-        raise NotZeroError(f"P(M, e) has {ps.size} pairs; zero classification does not apply")
-    ms = sorted(ps.monitors)
+    """Classify an empty P(M, e) by _edge_rows' gap rule; raises
+    NotZeroError when it is not empty."""
+    ms, edge, du, dv = _edge_rows(g, monitors, e)
+    if any(abs(dv[x] - du[x]) >= 2 for x in ms):
+        raise NotZeroError(
+            f"P(M, e) has {p_set(g, ms, edge).size} pairs; zero classification does not apply"
+        )
     if not ms:
         return PairSetZeroReason(empty_monitor_set=True, per_vertex={})
-    # p_set adds (x, far end) for every monitor x that holds e, so none
-    # does: a monitor nearer one end keeps its distance to the other.
-    u, v = ps.edge
-    du, dv = _bfs(g, u), _bfs(g, v)
     per_vertex = {
-        x: "equidistant" if du[x] == dv[x] else "detour_preserves_distance" for x in ms
+        x: "equidistant" if du[x] == dv[x] else "detour_preserves_distance" for x in sorted(ms)
     }
     return PairSetZeroReason(empty_monitor_set=False, per_vertex=per_vertex)

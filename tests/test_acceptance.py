@@ -57,12 +57,16 @@ def test_criterion_02_complete_graphs():
     _report(2, "complete graphs n=2..8 give n-1")
 
 
+# Past brute force's reach, K_{m,n} for m <= n keeps the value m.
+LARGE_BIPARTITE = ((1, 40), (7, 9), (8, 8), (10, 12), (12, 20), (15, 16), (20, 25))
+
+
 def test_criterion_03_complete_bipartite():
-    for m in range(1, 7):
-        for n in range(m, 7):
-            value = dem_exact(gen.complete_bipartite(m, n).graph).value
-            assert value == m, (m, n, value)
-    _report(3, "complete bipartite K_{m,n} gives m for 1<=m<=n<=6")
+    pairs = [(m, n) for m in range(1, 7) for n in range(m, 7)] + list(LARGE_BIPARTITE)
+    for m, n in pairs:
+        res = dem_exact(gen.complete_bipartite(m, n).graph)
+        assert (res.value, res.exact) == (m, True), (m, n, res.value)
+    _report(3, "complete bipartite K_{m,n} gives m for 1<=m<=n<=6 and 7 pairs up to K_{20,25}")
 
 
 def test_criterion_04_oracle_equivalence(small_random_corpus, family_corpus):
@@ -345,6 +349,18 @@ GOLDEN_GRIDS = {
     (4, 4): (4, (0, 5, 10, 15)),
 }
 GOLDEN_Q3 = (4, (0, 3, 5, 6))
+# Closed forms past brute force's n <= 12, value and exactness only:
+# dem(Q_d) = 2^(d-1), dem(grid a x b) = max(a, b), dem(C_n) = 2 (C4 to
+# C12 are in GOLDEN_CYCLES).
+CLOSED_FORMS = (
+    [(f"Q{d}", gen.hypercube, (d,), 2 ** (d - 1)) for d in range(2, 10)]
+    + [
+        (f"grid{a}x{b}", gen.grid, (a, b), max(a, b))
+        for a, b in ((2, 30), (3, 29), (5, 7), (7, 19), (10, 10), (12, 25), (15, 30), (20, 20),
+                     (30, 30))
+    ]
+    + [(f"C{n}", gen.cycle, (n,), 2) for n in (3, 50, 501)]
+)
 
 
 def _assert_frozen(g, value, monitors):
@@ -369,4 +385,11 @@ def test_criterion_15_frozen_goldens():
     for (p, q), (value, monitors) in GOLDEN_GRIDS.items():
         _assert_frozen(gen.grid(p, q).graph, value, monitors)
     _assert_frozen(gen.hypercube(3).graph, *GOLDEN_Q3)
-    _report(15, "cycle, grid, and cube goldens reproduce bit-exactly")
+    for name, make, args, value in CLOSED_FORMS:
+        res = dem_exact(make(*args).graph)
+        assert (res.value, res.exact) == (value, True), name
+    _report(
+        15,
+        f"cycle, grid, and cube goldens reproduce bit-exactly; {len(CLOSED_FORMS)} closed forms"
+        " up to Q9, grid30x30 and C501 hold",
+    )

@@ -24,10 +24,10 @@ from demkit import (
     p_set,
     verify_dem_result,
 )
-from demkit.graph import _bfs, base_graph
+from demkit.graph import _bfs, _bits, base_graph, is_complete
 from demkit.monitor import _em_holders
 from demkit.solvers import _cover_instance, _greedy_cover, _transpose
-from demkit.structural import bounds_report, dem2_pair_check
+from demkit.structural import bounds_report, dem2_pair_check, unique_parent_condition
 
 from oracles import (
     brute_minimum_monitoring,
@@ -54,14 +54,19 @@ def test_counts_per_order():
 
 
 def test_dem_against_brute_force():
+    # Also dem = n - 1 exactly on the complete graphs K2..K7.
     values = Counter()
+    complete = 0
     for g in census():
         masks = [em_set_naive(g, x).edges for x in range(g.n)]
         res = dem_exact(g)
         assert res.exact and res.value == brute_minimum_monitoring(g, masks)[0], g
         assert verify_dem_result(g, res), g
         values[res.value] += 1
+        assert (res.value == g.n - 1) == is_complete(g), g
+        complete += is_complete(g)
     assert values == {1: 24, 2: 215, 3: 392, 4: 303, 5: 60, 6: 1}
+    assert complete == 6
 
 
 def test_verify_rejects_one_monitor_more():
@@ -163,3 +168,94 @@ def test_pair_sets_golden():
     assert digest.hexdigest() == (
         "3b37c200a0221428cb57e644041c8c3d437ecc9f0a5c930ed3cb8b7ae958bc73"
     )
+
+
+def test_em_cardinality_converses():
+    # Every (G, v) of the census, against the |EM(v)| characterizations
+    # read in the converse direction.  |EM(v)| = n - 1 exactly when no
+    # vertex has two parents in v's BFS (the unique-parent condition).
+    # The 114 pairs with |EM(v)| = 2 split by v's eccentricity and by
+    # whether v's two neighbours u1, u2 are adjacent (v monitors each of
+    # its own edges, so it has at most two).  K3 and P3's centre give
+    # eccentricity 1, P3's ends the two of degree 1; d1_graph yields
+    # eccentricity 2 with u1u2 an edge, d2_graph 2 without, a_d_graph 3 and
+    # more without (its intra-level edges start at level 2).  No generator
+    # yields the 20 pairs of eccentricity 3 with u1u2 an edge, such as v = 1
+    # below: a_d_graph(3, [2, 1]) plus the edge u1u2, which changes no
+    # level and no parent.  Whether the family list misses them in
+    # transcription or the theorem does is undetermined: the source here
+    # is the abstract alone.
+    split = Counter()
+    unmatched = []
+    for g in census():
+        for v in range(g.n):
+            size = em_set(g, v).size
+            assert (size == g.n - 1) == unique_parent_condition(g, v), (g, v)
+            if size != 2:
+                continue
+            nbrs = g.neighbors(v)
+            ecc = max(_bfs(g, v))
+            shape = "degree 1" if len(nbrs) == 1 else "adjacent" if g.has_edge(*nbrs) else "apart"
+            split[ecc, shape] += 1
+            if (ecc, shape) == (3, "adjacent"):
+                unmatched.append((sorted(g.edges()), v))
+    assert split == {
+        (1, "adjacent"): 3, (1, "apart"): 1,
+        (2, "adjacent"): 33, (2, "apart"): 35, (2, "degree 1"): 2,
+        (3, "adjacent"): 20, (3, "apart"): 20,
+    }
+    smallest = [(0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (4, 5)]
+    assert (smallest, 1) in unmatched
+
+
+def test_gap_rule():
+    # monitor._edge_rows' gap rule, from the two rows computed here.  For
+    # every edge e = (u, v) and vertex x, with du, dv the distances from u
+    # and v in G - e (n + 1 for unreachable) and gap = dv[x] - du[x]: x
+    # monitors e (its bit in e's _em_holders mask) exactly when |gap| >= 2,
+    # and gap = 0 exactly when d_G(x, u) = d_G(x, v).
+    counts = Counter()
+    for g in census():
+        dist = [_bfs(g, x) for x in range(g.n)]
+        for e, mask in zip(g.edges(), _em_holders(g)):
+            u, v = e
+            du, dv = ([g.n + 1 if d < 0 else d for d in _bfs(g, s, skip=e)] for s in e)
+            for x in range(g.n):
+                gap = abs(dv[x] - du[x])
+                assert (gap >= 2) == bool(mask >> x & 1), (g, e, x)
+                assert (gap == 0) == (dist[x][u] == dist[x][v]), (g, e, x)
+                counts[min(gap, 2)] += 1
+    assert counts == {2: 31_133, 1: 20_456, 0: 21_748}
+
+
+def test_pair_set_monitors_are_holders():
+    # The monitors that appear in P(V, e) are exactly e's _em_holders mask:
+    # p_set's gap rule against the bit-parallel residue pass.
+    for g in census():
+        for e, mask in zip(g.edges(), _em_holders(g)):
+            assert {x for x, _ in p_set(g, range(g.n), e).pairs} == set(_bits(mask)), (g, e)
+
+
+def test_monitoring_set_locates_edges():
+    """A monitoring set M locates a failing edge, not only detects it:
+    P(M, e) != P(M, e') for distinct edges e, e'.  Checked for dem_exact's
+    M on every census graph.
+
+    Proof.  Let x in M monitor e = (u, v), with v the far end, so u is v's
+    only parent in x's BFS and (x, v) is in P(M, e).  Suppose P(M, e') =
+    P(M, e) for an edge e' = (a, b), b the end farther from x.  Then e' lies
+    on every shortest x-v path.  If b = v, then a is a parent of v, so a = u
+    and e' = e.  Otherwise d(x, b) < d(x, v).  A shortest x-b path that
+    avoided e' would, followed by the part after b of a shortest x-v path
+    through e', be a shortest x-v path that avoids e'.  So every shortest
+    x-b path uses e', and (x, b) is in P(M, e') = P(M, e).  But a shortest
+    path that uses e reaches v, so deleting e changes no distance from x
+    shorter than d(x, v), d(x, b) among them: a contradiction.
+    """
+    edges = 0
+    for g in census():
+        monitors = dem_exact(g).monitor_set
+        fibers = {p_set(g, monitors, e).pairs for e in g.edges()}
+        assert len(fibers) == g.m, g
+        edges += g.m
+    assert edges == 10_664

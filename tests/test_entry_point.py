@@ -96,9 +96,9 @@ ROWS = [
     Row("dem_random60_budget25588", f"{_R60} 25588", 4, _cut,
         (15, False, 25588, [2, 3, 7, 8, 13, 14, 21, 22, 24, 35, 41, 42, 52, 53, 59])),
     Row("dem_random60_budget25589", f"{_R60} 25589", 4, _cut, (14, False, 25589, _COVER)),
-    # P(M, e) from four endpoint BFS plus one bit-parallel sweep from the
-    # 20 monitors that hold the edge; the centre edge of a double star is
-    # a bridge.
+    # P(M, e) from two endpoint BFS in G - e plus one bit-parallel sweep
+    # from the 20 monitors that hold the edge; the centre edge of a double
+    # star is a bridge.
     Row("pset_grid20x20", "pset --gen grid:20,20 --monitors all --edge 90,91", 0,
         lambda r: r["size"], 198),
     Row("pset_doublestar", "pset --gen doublestar:3,3 --monitors all --edge centers", 0,
@@ -111,9 +111,17 @@ ROWS = [
     # a MemoryError traceback: a 200,000-vertex cycle outgrows it in the
     # EM pass.
     Row("dem_cycle200000_1gib", "dem --gen cycle:200000", 2, mib=1024),
-    # 2^30 vertices under 512 MiB: the generator's edge list does not
-    # fit, and the exit is 2 as well.
+    # 2^30 vertices are past the generators' cap of 1,000,000 vertices
+    # and edges: the exit is 2 before any list is built, even under 512 MiB.
     Row("dem_hypercube30_512mib", "dem --gen hypercube:30", 2, mib=512),
+    # The cap holds for every command that generates: a 20-digit path
+    # exits 2 at once, where it used to build until the process was killed.
+    Row("dem_path_huge_512mib", "dem --gen path:99999999999999999999", 2, mib=512, timeout=10),
+    Row("bounds_path_huge_512mib", "bounds --gen path:99999999999999999999", 2, mib=512,
+        timeout=10),
+    Row("char3_path_huge_512mib", "char --gen path:99999999999999999999 --target 3", 2, mib=512,
+        timeout=10),
+    Row("gen_path_huge_512mib", "gen path:99999999999999999999", 2, mib=512, timeout=10),
     # Ten bytes declare a million isolated vertices: the reply is one
     # short line naming the component count, not a million sizes.
     Row("dem_million_isolated", "dem big.el", 3, files={"big.el": b"1000000 0\n"}, mib=512),
@@ -136,6 +144,9 @@ ROWS = [
     # char needs an edge at every target, as dem does: one vertex
     # exits 2.  A comma list skips empty items, for --tuple too.
     Row("char_one_vertex", "char --gen path:1 --target 1", 2),
+    # --target 1 reads no tuple, so a tuple given with it is an error,
+    # not ignored.
+    Row("char_target1_tuple", "char --gen path:4 --target 1 --tuple zz", 2, timeout=10),
     Row("char_trailing_comma", "char --gen petersen --target 2 --tuple 0,1,"),
     # unique_parent_constraints as a rule table: on d1:5 the pair 0,1
     # fails it with two neighbours one step closer to 0, one of them

@@ -248,7 +248,8 @@ class TestRandomGenerators:
         (gen.a_d_graph, (3, [2, 0])),
         (gen.random_connected, (0, 0.5, 0)),
         (gen.random_tree, (0, 0)),
-        # More vertex pairs than random_connected's cap on pair draws.
+        # More vertex pairs than the generators' size cap and the cap on
+        # pair draws.
         (gen.random_connected, (6165, 0.5, 0)),
     ],
     ids=["path", "complete", "complete_bipartite", "join_with_empty", "d1_inner_edge", "a_d_level",
@@ -257,3 +258,44 @@ class TestRandomGenerators:
 def test_bad_parameters_rejected(make, args):
     with pytest.raises(BadParameterError):
         make(*args)
+
+
+@pytest.mark.parametrize(
+    "make, args",
+    [
+        (gen.path, (1_000_001,)),
+        (gen.cycle, (1_000_001,)),
+        (gen.complete, (1415,)),
+        (gen.star, (1_000_000,)),
+        (gen.complete_bipartite, (1000, 1001)),
+        (gen.grid, (1000, 1000)),
+        (gen.hypercube, (20,)),
+        (gen.hypercube, (10**20,)),
+        (gen.double_star, (999_999, 0)),
+        (gen.join, (gen.Graph(1000), gen.Graph(1001))),
+        (gen.join_with_empty, (gen.cycle(4).graph, 250_000)),
+        (gen.em_k_construction, (1_000_000, 2)),
+        (gen.d1_graph, (500_002,)),
+        (gen.a_d_graph, (3, [1000, 1000])),
+        (gen.random_connected, (1415, 0.5, 0)),
+        (gen.random_tree, (1_000_001, 0)),
+    ],
+    ids=["path", "cycle", "complete", "star", "complete_bipartite", "grid", "hypercube",
+         "hypercube_huge", "double_star", "join", "join_with_empty", "em_k", "d1", "a_d",
+         "random_connected", "random_tree"],
+)
+def test_size_cap_rejected(make, args):
+    # Past 1,000,000 vertices or edges, checked from the parameters before
+    # any list is built, so each of these fails at once.  Each is just past
+    # the cap, so a missing check builds a graph instead of exhausting
+    # memory; hypercube:10^20 fails at once either way.
+    with pytest.raises(BadParameterError, match="too large"):
+        make(*args)
+
+
+def test_size_cap_boundary():
+    # The cap admits 1,000,000 vertices and 1,000,000 edges, and no more.
+    gen._check_size("cycle", 1_000_000, 1_000_000)
+    for n, m in ((1_000_001, 0), (0, 1_000_001)):
+        with pytest.raises(BadParameterError):
+            gen._check_size("cycle", n, m)
