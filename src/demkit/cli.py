@@ -4,8 +4,10 @@ Subcommands: dem, em, pset, verify, bounds, char, gen.  Output formats are
 json (default), csv, dot, and text; identical inputs, flags, and seeds
 produce byte-identical output (solver wall-time is therefore omitted from
 reports).  Exit codes: 0 ok, 2 parse/parameter error, an input too large
-for memory or output that stdout cannot encode, 3 disconnected input, 4
-solver budget exhausted (partial output is still emitted).
+for memory or output that stdout cannot encode, 3 disconnected input to a
+command that needs a connected graph (dem, em, verify, bounds, char), 4
+solver budget exhausted (partial output is still emitted).  pset works on
+a disconnected graph: it gives the pairs of its edge's own component.
 """
 
 from __future__ import annotations
@@ -16,10 +18,9 @@ import functools
 import io as _io
 import json
 import sys
-from itertools import combinations
 from json.encoder import encode_basestring_ascii as _quote
 
-from . import generators
+from . import generators, structural
 from .errors import (
     BadParameterError,
     DemkitError,
@@ -31,7 +32,6 @@ from .graph import base_graph
 from .io import LoadedGraph, format_edgelist, load_edgelist, to_dot
 from .monitor import em_set, is_monitoring_set, p_set
 from .solvers import DEFAULT_BUDGET, dem_exact, dem_greedy
-from .structural import bounds_report, dem2_first_pass, dem2_pair_check, dem3_triple_check
 
 FORMATS = ("json", "csv", "dot", "text")
 
@@ -335,8 +335,15 @@ def cmd_verify(args) -> int:
 
 def cmd_bounds(args) -> int:
     loaded = _load(args)
-    _emit(args, loaded, bounds_report(loaded.graph).to_json(loaded.label))
+    _emit(args, loaded, structural.bounds_report(loaded.graph).to_json(loaded.label))
     return 0
+
+
+# --target -> (the check of a given tuple, the search for the first tuple).
+_CHAR_CHECKS = {
+    2: (structural.dem2_pair_check, structural.dem2_first_pass),
+    3: (structural.dem3_triple_check, structural.dem3_first_pass),
+}
 
 
 def cmd_char(args) -> int:
@@ -355,8 +362,7 @@ def cmd_char(args) -> int:
     if base.was_tree:
         raise IsTreeError("tree input: the single-monitor characterization applies")
     gb, lift, back = base.graph, base.new_to_old, base.old_to_new
-    check = dem2_pair_check if args.target == 2 else dem3_triple_check
-    report = None
+    check, first_pass = _CHAR_CHECKS[args.target]
     if args.tuple_:
         verts = _vertices(loaded, args.tuple_)
         if len(verts) != args.target:
@@ -365,14 +371,8 @@ def cmd_char(args) -> int:
         if missing:
             raise BadParameterError(f"vertices {missing} are not in the base graph")
         report = check(gb, *[back[v] for v in verts])
-    elif args.target == 2:
-        report = dem2_first_pass(gb)
     else:
-        # Ground truth drives the search; the rule report is data.
-        for triple in combinations(range(gb.n), 3):
-            if is_monitoring_set(gb, triple).is_monitoring:
-                report = check(gb, *triple)
-                break
+        report = first_pass(gb)
     out["found"] = report is not None
     if args.target == 3:
         out["discrepancy"] = report is not None and report.discrepancy

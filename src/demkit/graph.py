@@ -55,9 +55,14 @@ def _bits(x: int):
         x ^= low
 
 
+def _outside(x, n: int) -> str:
+    """The message for a vertex x that is not in 0..n-1."""
+    return f"vertex {x} outside 0..{n - 1}" if n else f"vertex {x}: the graph has no vertices"
+
+
 def _check_vertex(g: "Graph", x: int) -> None:
     if not (0 <= x < g.n):
-        raise OutOfRangeError(f"vertex {x} outside 0..{g.n - 1}")
+        raise OutOfRangeError(_outside(x, g.n))
 
 
 class Graph:

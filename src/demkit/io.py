@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import FormatError
-from .graph import Graph
+from .graph import Graph, _outside
 
 _RESERVED_KEYS = {"family", "params", "seed"}
 
@@ -47,7 +47,7 @@ class LoadedGraph:
         except ValueError:
             raise FormatError(f"unknown vertex label {token!r}")
         if not (0 <= v < self.graph.n):
-            raise FormatError(f"vertex {v} outside 0..{self.graph.n - 1}")
+            raise FormatError(_outside(v, self.graph.n))
         return v
 
     @cached_property

@@ -257,8 +257,9 @@ def em_set_naive(g: Graph, x: int) -> EmSet:
 
 
 def _edge_rows(g: Graph, monitors, e: tuple) -> tuple:
-    """(M, e, du, dv) for P(M, e): the monitors as a set, e as (min, max),
-    and the distance rows from u and from v in G-e, n + 1 for unreachable.
+    """(M, e, du, dv, holders) for P(M, e): the monitors as a set, e as
+    (min, max), the distance rows from u and from v in G-e, n + 1 for
+    unreachable, and the monitors that hold e by the gap rule, in id order.
 
     The gap rule.  A shortest x-u path that uses e = (u, v) ends with e, so
     d_G(x, u) = min(du[x], dv[x] + 1), and likewise for v: the two rows in
@@ -282,7 +283,8 @@ def _edge_rows(g: Graph, monitors, e: tuple) -> tuple:
     edge = canonical_edge(u, v)
     far = g.n + 1
     du, dv = ([far if d < 0 else d for d in _bfs(g, s, skip=edge)] for s in edge)
-    return ms, edge, du, dv
+    holders = [x for x in sorted(ms) if abs(dv[x] - du[x]) >= 2]
+    return ms, edge, du, dv, holders
 
 
 def p_set(g: Graph, monitors, e: tuple) -> PairSet:
@@ -309,9 +311,8 @@ def p_set(g: Graph, monitors, e: tuple) -> PairSet:
     no bit is left.  The cost is O(L * m) operations on |H|-bit masks, L
     the levels swept.
     """
-    ms, edge, du, dv = _edge_rows(g, monitors, e)
+    ms, edge, du, dv, holders = _edge_rows(g, monitors, e)
     u, v = edge
-    holders = [x for x in sorted(ms) if abs(dv[x] - du[x]) >= 2]
     h = len(holders)
     unseen = [(1 << h) - 1] * g.n
     # state: (y, front | ok << h) for the vertices y the last level reached.
@@ -482,14 +483,12 @@ _ZERO_LABELS = {"equidistant": "ii", "detour_preserves_distance": "iii"}
 def p_set_size_zero_reason(g: Graph, monitors, e: tuple) -> PairSetZeroReason:
     """Classify an empty P(M, e) by _edge_rows' gap rule; raises
     NotZeroError when it is not empty."""
-    ms, edge, du, dv = _edge_rows(g, monitors, e)
-    if any(abs(dv[x] - du[x]) >= 2 for x in ms):
+    ms, edge, du, dv, holders = _edge_rows(g, monitors, e)
+    if holders:
         raise NotZeroError(
             f"P(M, e) has {p_set(g, ms, edge).size} pairs; zero classification does not apply"
         )
-    if not ms:
-        return PairSetZeroReason(empty_monitor_set=True, per_vertex={})
     per_vertex = {
         x: "equidistant" if du[x] == dv[x] else "detour_preserves_distance" for x in sorted(ms)
     }
-    return PairSetZeroReason(empty_monitor_set=False, per_vertex=per_vertex)
+    return PairSetZeroReason(empty_monitor_set=not ms, per_vertex=per_vertex)

@@ -457,6 +457,18 @@ def dem3_triple_check(g_b: Graph, u: int, v: int, w: int) -> ConditionReport:
     return _report(g_b, (u, v, w), _evaluate(g_b, _rows(g_b, (u, v, w)), _TRIPLE_RULES))
 
 
+def dem3_first_pass(g_b: Graph) -> Optional[ConditionReport]:
+    """dem3_triple_check of the first triple of a base graph, in combinations
+    order, that monitors every edge, or None.
+
+    Ground truth drives the search; the rule report is data.
+    """
+    for triple in combinations(range(g_b.n), 3):
+        if is_monitoring_set(g_b, triple).is_monitoring:
+            return dem3_triple_check(g_b, *triple)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Numeric bounds.
 # ---------------------------------------------------------------------------
@@ -541,10 +553,15 @@ class BoundsReport:
     density_lb: int
     clique_lb: Optional[int]
     vertex_cover_ub: Optional[int]
-    gallai_ub: Optional[int]
     feedback_ub: Optional[int]
     regular_lb: Optional[int]
     em_per_vertex: dict
+
+    @property
+    def gallai_ub(self) -> Optional[int]:
+        """n minus the independence number: the cover number, by Gallai's
+        identity, so vertex_cover_ub itself."""
+        return self.vertex_cover_ub
 
     def to_json(self, label=lambda v: v) -> dict:
         out = {
@@ -575,9 +592,6 @@ def bounds_report(g: Graph) -> BoundsReport:
         beta = minimum_vertex_cover_size(g)
     except TooLargeError:
         beta = None
-    # n minus the independence number; numerically equal to the cover number
-    # by complementarity, kept as its own field for the report consumers.
-    gallai_ub = beta
     feedback = m - n + 1
     feedback_ub = 2 * feedback if feedback > 0 else None
     dmin, dmax = degree_extremes(g)
@@ -593,7 +607,6 @@ def bounds_report(g: Graph) -> BoundsReport:
         density_lb=density_lb,
         clique_lb=clique_lb,
         vertex_cover_ub=beta,
-        gallai_ub=gallai_ub,
         feedback_ub=feedback_ub,
         regular_lb=regular_lb,
         em_per_vertex=em_per_vertex,

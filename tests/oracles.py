@@ -27,7 +27,6 @@ from demkit import (
     OutOfRangeError,
     SelfLoopError,
     em_set_naive,
-    is_monitoring_set,
 )
 from demkit.graph import Graph, _bfs, _check_vertex, canonical_edge, require_connected
 from demkit.io import LoadedGraph, _parse_roles
@@ -113,15 +112,6 @@ def brute_minimum_monitoring(g: Graph, masks=None):
             for x in subset:
                 covered |= masks[x]
             if covered == all_edges:
-                return k, subset
-    raise AssertionError("vertex set itself must monitor a connected graph")
-
-
-def brute_minimum_via_certificates(g: Graph):
-    """Minimum monitoring-set size with is_monitoring_set as the only checker."""
-    for k in range(1, g.n + 1):
-        for subset in combinations(range(g.n), k):
-            if is_monitoring_set(g, subset).is_monitoring:
                 return k, subset
     raise AssertionError("vertex set itself must monitor a connected graph")
 

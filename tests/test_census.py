@@ -27,7 +27,13 @@ from demkit import (
 from demkit.graph import _bfs, _bits, base_graph, is_complete
 from demkit.monitor import _em_holders
 from demkit.solvers import _cover_instance, _greedy_cover, _transpose
-from demkit.structural import bounds_report, dem2_pair_check, unique_parent_condition
+from demkit.structural import (
+    bounds_report,
+    dem2_pair_check,
+    dem3_first_pass,
+    dem3_triple_check,
+    unique_parent_condition,
+)
 
 from oracles import (
     brute_minimum_monitoring,
@@ -143,6 +149,31 @@ def test_pair_reports_golden():
     assert digest.hexdigest() == (
         "6e309f111c8600a9968ce432c4b726a1249b1f9c6b4ce228015d0d7fadcd4daf"
     )
+
+
+def test_triple_search_against_definition():
+    # char --target 3's search on every non-tree census base graph: the
+    # first triple, in combinations order, whose EM sets by definition
+    # cover every edge, reported by dem3_triple_check; None exactly when
+    # dem > 3.  A faster search must keep both.
+    graphs = found = 0
+    for g in census():
+        base = base_graph(g)
+        if base.was_tree:
+            continue
+        gb = base.graph
+        ems = [em_set_naive(gb, x).edges for x in range(gb.n)]
+        edges = set(gb.edges())
+        first = next(
+            (t for t in combinations(range(gb.n), 3) if ems[t[0]] | ems[t[1]] | ems[t[2]] == edges),
+            None,
+        )
+        report = dem3_first_pass(gb)
+        assert report == (None if first is None else dem3_triple_check(gb, *first)), g
+        assert (first is None) == (dem_exact(g).value > 3), g
+        graphs += 1
+        found += first is not None
+    assert (graphs, found) == (971, 607)
 
 
 def test_pair_sets_golden():

@@ -219,6 +219,15 @@ class TestGenAndFiles:
         )
         assert payload["size"] == 24
 
+    def test_vertex_of_empty_file_named_as_such(self, capsys, tmp_path):
+        path = tmp_path / "empty.el"
+        path.write_text("0 0\n")
+        for argv in (["em", "--vertex", "0"], ["pset", "--monitors", "all", "--edge", "0,1"]):
+            assert main([argv[0], str(path), *argv[1:]]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: vertex 0: the graph has no vertices\n"
+
     def test_labelled_file(self, capsys, tmp_path):
         f = tmp_path / "lab.el"
         f.write_text("# hub=b\n3 2\na b\nb c\n")

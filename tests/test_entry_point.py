@@ -107,6 +107,14 @@ ROWS = [
     # comments rather than by the generator.
     Row("pset_doublestar_file", "pset ds.el --monitors all --edge centers", 0,
         lambda r: r["size"], 32, setup="gen doublestar:3,3 --output ds.el"),
+    # pset needs no connected graph: on a disconnected input it gives the
+    # pairs of the edge's own component and exits 0, not 3.
+    Row("pset_disconnected", "pset two.el --monitors all --edge 0,1", 0,
+        lambda r: r["pairs"], [[0, 1], [1, 0]], files={"two.el": b"4 2\n0 1\n2 3\n"}),
+    # A vertex named on a graph with no vertices is a parameter error.
+    Row("em_no_vertices", "em empty.el --vertex 0", 2, files={"empty.el": b"0 0\n"}),
+    Row("pset_no_vertices", "pset empty.el --monitors all --edge 0,1", 2,
+        files={"empty.el": b"0 0\n"}),
     # An input too large for 1 GiB of address space exits 2, not with
     # a MemoryError traceback: a 200,000-vertex cycle outgrows it in the
     # EM pass.

@@ -55,6 +55,10 @@ class TestBuildGraph:
         with pytest.raises(OutOfRangeError):
             build_graph(3, [(0, 1)]).has_edge(0, 3)
 
+    def test_vertex_of_empty_graph_named_as_such(self):
+        with pytest.raises(OutOfRangeError, match=r"^vertex 0: the graph has no vertices$"):
+            bfs_distances(build_graph(0, []), 0)
+
     def test_negative_order_rejected(self):
         with pytest.raises(BadParameterError):
             build_graph(-1, [])

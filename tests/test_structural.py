@@ -304,7 +304,7 @@ class TestBounds:
             rep = bounds_report(g)
             val = dem_exact(g).value
             assert max(rep.density_lb, rep.clique_lb) <= val <= rep.vertex_cover_ub
-            assert rep.vertex_cover_ub <= rep.gallai_ub
+            assert rep.vertex_cover_ub == rep.gallai_ub
             if rep.feedback_ub is not None:
                 assert val <= rep.feedback_ub
             if rep.regular_lb is not None:
