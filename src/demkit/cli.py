@@ -21,17 +21,11 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import generators, structural
-from .errors import (
-    BadParameterError,
-    DemkitError,
-    DisconnectedError,
-    FormatError,
-    IsTreeError,
-)
+from .errors import BadParameterError, DemkitError, DisconnectedError, FormatError
 from .graph import base_graph
 from .io import LoadedGraph, format_edgelist, load_edgelist, to_dot
 from .monitor import em_set, is_monitoring_set, p_set
-from .solvers import DEFAULT_BUDGET, dem_exact, dem_greedy
+from .solvers import DEFAULT_BUDGET, _check_dem_defined, dem_exact, dem_greedy
 
 FORMATS = ("json", "csv", "dot", "text")
 
@@ -353,14 +347,12 @@ def cmd_char(args) -> int:
     out = {"target": args.target}
     # Every target needs a connected graph with an edge, as dem does:
     # base_graph raises DisconnectedError (exit 3) on a disconnected one.
-    if loaded.graph.n < 2:
-        raise BadParameterError("dem is defined for graphs with at least one edge")
+    _check_dem_defined(loaded.graph)
     base = base_graph(loaded.graph)
     if args.target == 1:
         _emit(args, loaded, out | {"is_tree": base.was_tree, "dem_is_1": base.was_tree})
         return 0
-    if base.was_tree:
-        raise IsTreeError("tree input: the single-monitor characterization applies")
+    structural._check_not_tree(base)
     gb, lift, back = base.graph, base.new_to_old, base.old_to_new
     check, first_pass = _CHAR_CHECKS[args.target]
     if args.tuple_:

@@ -30,7 +30,7 @@ class NotZeroError(DemkitError, ValueError):
 
 
 class BadParameterError(DemkitError, ValueError):
-    """A generator or solver parameter is outside its valid range."""
+    """A parameter, or the size of a generated or read graph, is outside its valid range."""
 
 
 class TooLargeError(DemkitError, ValueError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import BadParameterError
-from .graph import Graph, is_connected
+from .graph import Graph, _check_size, is_connected
 
 
 @dataclass(frozen=True)
@@ -28,24 +28,6 @@ class FamilyInstance:
 
     def role(self, name: str) -> int:
         return self.designated[name]
-
-
-# The most vertices, and the most edges, that a generator builds.  Each
-# constructor checks its counts from its parameters before it builds any
-# list, so a huge spec fails at once instead of exhausting memory.  The
-# largest graph that the tests and the benchmark corpus generate is
-# cycle:200000.
-_SIZE_CAP = 1_000_000
-
-
-def _check_size(family: str, n: int, m: int) -> None:
-    """Reject a family graph with more than _SIZE_CAP vertices or edges;
-    m may be an upper bound on the edge count."""
-    if n > _SIZE_CAP or m > _SIZE_CAP:
-        raise BadParameterError(
-            f"{family} graph too large: generators build at most {_SIZE_CAP:,} vertices"
-            f" and {_SIZE_CAP:,} edges"
-        )
 
 
 def path(n: int) -> FamilyInstance:

@@ -55,14 +55,38 @@ def _bits(x: int):
         x ^= low
 
 
-def _outside(x, n: int) -> str:
-    """The message for a vertex x that is not in 0..n-1."""
-    return f"vertex {x} outside 0..{n - 1}" if n else f"vertex {x}: the graph has no vertices"
+def _outside(what: str, n: int) -> str:
+    """The message for `what`, a vertex or an edge's endpoint, not in 0..n-1."""
+    return f"{what} outside 0..{n - 1}" if n else f"{what}: the graph has no vertices"
 
 
 def _check_vertex(g: "Graph", x: int) -> None:
     if not (0 <= x < g.n):
-        raise OutOfRangeError(_outside(x, g.n))
+        raise OutOfRangeError(_outside(f"vertex {x}", g.n))
+
+
+def _endpoint_outside(u: int, v: int, n: int) -> OutOfRangeError:
+    """The error for an edge (u, v) with an endpoint not in 0..n-1."""
+    return OutOfRangeError(_outside(f"edge ({u}, {v}) has an endpoint", n))
+
+
+# The most vertices, and the most edges, of a graph that demkit builds.
+# The generators check their counts from their parameters, and the
+# edge-list reader from its header, before they build any list, so a huge
+# spec or header fails at once instead of exhausting memory.  The largest
+# graph that the tests and the benchmark corpus generate is cycle:200000.
+_SIZE_CAP = 1_000_000
+
+
+def _check_size(kind: str, n: int, m: int) -> None:
+    """Reject a graph of the given kind (a generator family, or an edge
+    list) with more than _SIZE_CAP vertices or edges; m may be an upper
+    bound on the edge count."""
+    if n > _SIZE_CAP or m > _SIZE_CAP:
+        raise BadParameterError(
+            f"{kind} graph too large: demkit builds at most {_SIZE_CAP:,} vertices"
+            f" and {_SIZE_CAP:,} edges"
+        )
 
 
 class Graph:
@@ -82,7 +106,7 @@ class Graph:
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n) or not (0 <= v < n):
-                raise OutOfRangeError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
+                raise _endpoint_outside(u, v, n)
             if u == v:
                 raise SelfLoopError(f"self-loop at vertex {u}")
             e = (u, v) if u < v else (v, u)
@@ -119,7 +143,7 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         if not (0 <= u < self.n) or not (0 <= v < self.n):
-            raise OutOfRangeError(f"edge ({u}, {v}) has an endpoint outside 0..{self.n - 1}")
+            raise _endpoint_outside(u, v, self.n)
         return v in self._adj[u]
 
     def edges(self) -> Iterator[tuple[int, int]]:
@@ -231,14 +255,20 @@ def bfs_distances(g: Graph, x: int) -> DistanceLayers:
     return DistanceLayers(source=x, dist=tuple(d if d >= 0 else UNREACHABLE for d in raw))
 
 
-def distance_after_deletion(g: Graph, e: tuple[int, int], x: int, y: int):
-    """d_{G-e}(x, y); UNREACHABLE if deleting e disconnects x from y."""
+def _graph_edge(g: Graph, e: tuple[int, int]) -> tuple[int, int]:
+    """e as g's edge (min, max); EdgeNotPresentError when g lacks it."""
     u, v = e
     if not g.has_edge(u, v):
         raise EdgeNotPresentError(f"edge ({u}, {v}) not in graph")
-    if not (0 <= x < g.n) or not (0 <= y < g.n):
-        raise OutOfRangeError(f"vertex outside 0..{g.n - 1}")
-    d = _bfs(g, x, skip=canonical_edge(u, v))[y]
+    return canonical_edge(u, v)
+
+
+def distance_after_deletion(g: Graph, e: tuple[int, int], x: int, y: int):
+    """d_{G-e}(x, y); UNREACHABLE if deleting e disconnects x from y."""
+    edge = _graph_edge(g, e)
+    _check_vertex(g, x)
+    _check_vertex(g, y)
+    d = _bfs(g, x, skip=edge)[y]
     return d if d >= 0 else UNREACHABLE
 
 

@@ -3,7 +3,9 @@
 Format: optional `# key=value` comment lines, then a header `n m`, then m
 lines `u v`.  Labels may be arbitrary whitespace-free tokens; they are
 remapped to dense 0-based ids at ingestion and the mapping is retained so
-reports can speak the caller's vocabulary.  Canonical output sorts edges
+reports can speak the caller's vocabulary.  The header's n and m are held
+to the size cap that the generators use too (graph._SIZE_CAP vertices and
+edges) before any list n long is built.  Canonical output sorts edges
 lexicographically by id.
 """
 
@@ -15,7 +17,7 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import FormatError
-from .graph import Graph, _outside
+from .graph import Graph, _check_size, _outside
 
 _RESERVED_KEYS = {"family", "params", "seed"}
 
@@ -47,7 +49,7 @@ class LoadedGraph:
         except ValueError:
             raise FormatError(f"unknown vertex label {token!r}")
         if not (0 <= v < self.graph.n):
-            raise FormatError(_outside(v, self.graph.n))
+            raise FormatError(_outside(f"vertex {v}", self.graph.n))
         return v
 
     @cached_property
@@ -86,6 +88,7 @@ def parse_edgelist(text: str) -> LoadedGraph:
             n, m, ids = int(n), int(m), list(map(int, body.split()))
         except ValueError:  # more digits than int() converts
             return _parse_lines(text)
+        _check_size("edge-list", n, m)
         if len(ids) == 2 * m and (not ids or max(ids) < n):
             comments = [line[1:].strip() for line in comments.splitlines()]
             return _loaded(n, list(zip(ids[::2], ids[1::2])), None, comments)
@@ -116,6 +119,7 @@ def _parse_lines(text: str) -> LoadedGraph:
         raise FormatError(f"header must be two integers, got {data_lines[0]!r}")
     if n < 0 or m < 0:
         raise FormatError("header counts must be nonnegative")
+    _check_size("edge-list", n, m)
     if len(data_lines) - 1 != m:
         raise FormatError(f"header declares {m} edges but {len(data_lines) - 1} lines follow")
     tokens = []

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EdgeNotPresentError, NotZeroError
-from .graph import _MANY, Graph, _bfs, _bits, _check_vertex, _sweep, canonical_edge, require_connected
+from .errors import NotZeroError
+from .graph import (_MANY, Graph, _bfs, _bits, _check_vertex, _graph_edge, _sweep, canonical_edge,
+                    require_connected)
 
 
 @dataclass(frozen=True)
@@ -274,13 +275,10 @@ def _edge_rows(g: Graph, monitors, e: tuple) -> tuple:
     a vertex that reaches one end only in G-e has |gap| >= 2, and one that
     reaches neither has gap 0.
     """
-    u, v = e
-    if not g.has_edge(u, v):
-        raise EdgeNotPresentError(f"edge ({u}, {v}) not in graph")
+    edge = _graph_edge(g, e)
     ms = set(monitors)
     for x in ms:
         _check_vertex(g, x)
-    edge = canonical_edge(u, v)
     far = g.n + 1
     du, dv = ([far if d < 0 else d for d in _bfs(g, s, skip=edge)] for s in edge)
     holders = [x for x in sorted(ms) if abs(dv[x] - du[x]) >= 2]

@@ -478,6 +478,13 @@ def _result(g: Graph, ms: tuple, method: str, exact: bool, nodes: int, t0: float
     return DemResult(len(ms), ms, method, exact, g, stats)
 
 
+def _check_dem_defined(g: Graph) -> None:
+    """BadParameterError for a graph with fewer than two vertices, which has
+    no edge to monitor."""
+    if g.n < 2:
+        raise BadParameterError("dem is defined for graphs with at least one edge")
+
+
 def dem_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> DemResult:
     """Provably minimum monitoring set; the certificate is built when
     read.
@@ -491,8 +498,7 @@ def dem_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> DemResult:
     equal-size optima, the monitor set that is lexicographically smallest
     over core vertices is returned.
     """
-    if g.n < 2:
-        raise BadParameterError("dem is defined for graphs with at least one edge")
+    _check_dem_defined(g)
     if budget < 0:
         raise BadParameterError(f"budget must be >= 0, got {budget}")
     t0 = perf_counter()
@@ -516,8 +522,7 @@ def dem_greedy(g: Graph) -> DemResult:
     """Greedy cover: repeatedly take the vertex monitoring the most uncovered
     edges (ties to the lowest id).  Carries the standard harmonic-factor
     set-cover guarantee relative to the optimum."""
-    if g.n < 2:
-        raise BadParameterError("dem is defined for graphs with at least one edge")
+    _check_dem_defined(g)
     require_connected(g, "dem")
     t0 = perf_counter()
     _, buckets, masks, full = _cover_instance(g)

@@ -25,6 +25,7 @@ from .errors import (
 )
 from .graph import (
     _MANY,
+    BaseGraphResult,
     Graph,
     _bits,
     _check_vertex,
@@ -52,9 +53,11 @@ class LayerProfile:
 def _rows(g: Graph, sources) -> list:
     """The BFS distance row of each source, one sweep per source.
 
-    Raises OutOfRangeError for a source outside g and DisconnectedError
-    when g is disconnected.
+    Raises BadParameterError for a repeated source, OutOfRangeError for a
+    source outside g and DisconnectedError when g is disconnected.
     """
+    if len(set(sources)) != len(sources):
+        raise BadParameterError("the sources must be distinct vertices")
     for s in sources:
         _check_vertex(g, s)
     rows = [_sweep(g, s)[1] for s in sources]
@@ -68,8 +71,6 @@ def layer_profile(g: Graph, sources) -> LayerProfile:
     srcs = tuple(sources)
     if len(srcs) not in (2, 3):
         raise BadParameterError("layer profile needs exactly 2 or 3 sources")
-    if len(set(srcs)) != len(srcs):
-        raise BadParameterError("layer profile sources must be distinct")
     cell_of = tuple(zip(*_rows(g, srcs)))
     cells: dict = {}
     for v, key in enumerate(cell_of):
@@ -272,8 +273,6 @@ def dem2_pair_check(g_b: Graph, u: int, v: int) -> ConditionReport:
     every edge); the conditions are expected to agree and the test suite
     treats any disagreement as a bug.
     """
-    if u == v:
-        raise BadParameterError("pair check needs two distinct vertices")
     return _report(g_b, (u, v), _evaluate(g_b, _rows(g_b, (u, v)), _PAIR_RULES))
 
 
@@ -288,6 +287,13 @@ def dem2_first_pass(g_b: Graph) -> Optional[ConditionReport]:
     return None
 
 
+def _check_not_tree(base: BaseGraphResult) -> None:
+    """IsTreeError when base reduced a tree: dem is 1 there, and the
+    two- and three-monitor conditions do not apply."""
+    if base.was_tree:
+        raise IsTreeError("tree input: the single-monitor characterization applies")
+
+
 def dem_is_2(g: Graph) -> Optional[tuple]:
     """Search the base graph for a pair passing all two-monitor conditions.
 
@@ -295,8 +301,7 @@ def dem_is_2(g: Graph) -> Optional[tuple]:
     IsTreeError for trees (single-monitor regime).
     """
     base = base_graph(g)
-    if base.was_tree:
-        raise IsTreeError("graph is a tree; the single-monitor characterization applies")
+    _check_not_tree(base)
     report = dem2_first_pass(base.graph)
     if report is None:
         return None
@@ -452,8 +457,6 @@ def dem3_triple_check(g_b: Graph, u: int, v: int, w: int) -> ConditionReport:
     report always carries the ground-truth direct check and a discrepancy
     flag instead of asserting agreement.
     """
-    if len({u, v, w}) != 3:
-        raise BadParameterError("triple check needs three distinct vertices")
     return _report(g_b, (u, v, w), _evaluate(g_b, _rows(g_b, (u, v, w)), _TRIPLE_RULES))
 
 

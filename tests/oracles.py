@@ -697,6 +697,8 @@ def graph_reference(n: int, edges) -> Graph:
     adj: list = [[] for _ in range(n)]
     for u, v in edges:
         if not (0 <= u < n) or not (0 <= v < n):
+            if not n:
+                raise OutOfRangeError(f"edge ({u}, {v}) has an endpoint: the graph has no vertices")
             raise OutOfRangeError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")

@@ -228,6 +228,19 @@ class TestGenAndFiles:
             assert captured.out == ""
             assert captured.err == "error: vertex 0: the graph has no vertices\n"
 
+    def test_header_past_the_cap_at_every_file_command(self, capsys, tmp_path):
+        # A 20-digit n on a labelled file: one error line naming the cap,
+        # where the label table used to end in an OverflowError.
+        path = tmp_path / "huge.el"
+        path.write_text("99999999999999999999 1\na b\n")
+        for argv in (["dem"], ["em", "--vertex", "a"], ["pset", "--monitors", "all", "--edge", "a,b"],
+                     ["verify", "--monitors", "all"], ["bounds"], ["char", "--target", "3"]):
+            assert main([argv[0], str(path), *argv[1:]]) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            assert captured.err.startswith("error: edge-list graph too large"), argv
+            assert captured.err.count("\n") == 1, argv
+
     def test_labelled_file(self, capsys, tmp_path):
         f = tmp_path / "lab.el"
         f.write_text("# hub=b\n3 2\na b\nb c\n")

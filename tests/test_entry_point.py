@@ -26,8 +26,9 @@ _ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, _PATH))}
 
 class Row(NamedTuple):
     """got(report) must equal want; the report is stdout as JSON, or as text
-    when argv sets --format.  argv runs among `files`, after setup, which
-    must exit 0; mib caps the child's address space."""
+    when argv sets --format.  stderr must contain err.  argv runs among
+    `files`, after setup, which must exit 0; mib caps the child's address
+    space."""
 
     name: str
     argv: str
@@ -38,6 +39,7 @@ class Row(NamedTuple):
     setup: Optional[str] = None
     mib: Optional[int] = None
     timeout: float = 120
+    err: str = ""
 
 
 def _value(r):
@@ -133,6 +135,17 @@ ROWS = [
     # Ten bytes declare a million isolated vertices: the reply is one
     # short line naming the component count, not a million sizes.
     Row("dem_million_isolated", "dem big.el", 3, files={"big.el": b"1000000 0\n"}, mib=512),
+    # An edge list's header is held to the same cap before any list is
+    # built: a 20-digit n is one error line, not an OverflowError
+    # traceback from the label table, nor a MemoryError after the
+    # adjacency lists fill the address space.
+    Row("dem_huge_header_labels", "dem huge.el", 2,
+        files={"huge.el": b"99999999999999999999 1\na b\n"}),
+    Row("em_huge_header_labels", "em huge.el --vertex a", 2,
+        files={"huge.el": b"99999999999999999999 1\na b\n"}),
+    Row("pset_huge_header_512mib", "pset huge.el --monitors all --edge 0,1", 2,
+        files={"huge.el": b"99999999999999999999 0\n"}, mib=512, timeout=10,
+        err="edge-list graph too large: demkit builds at most 1,000,000 vertices"),
     # With every vertex a monitor, verify finds the input disconnected
     # before it builds a 200,000-bit monitor row per vertex: the exit is
     # 3 under 1 GiB, as it is for two monitors.
@@ -220,6 +233,7 @@ def test_row(row, tmp_path):
         assert _demkit(row.setup, tmp_path).returncode == 0, row.setup
     proc = _demkit(row.argv, tmp_path, row.mib, row.timeout)
     assert proc.returncode == row.code, (row.argv, proc.stderr)
+    assert row.err in proc.stderr, (row.argv, proc.stderr)
     out = proc.stdout
     if out and "--format" not in row.argv:
         out = json.loads(out)

@@ -18,6 +18,7 @@ from demkit import (
     is_complete,
     is_connected,
     is_tree,
+    p_set,
 )
 from demkit import generators as gen
 from demkit import graph as graph_mod
@@ -58,6 +59,17 @@ class TestBuildGraph:
     def test_vertex_of_empty_graph_named_as_such(self):
         with pytest.raises(OutOfRangeError, match=r"^vertex 0: the graph has no vertices$"):
             bfs_distances(build_graph(0, []), 0)
+
+    def test_edge_of_empty_graph_named_as_such(self):
+        # One wording for an edge's endpoint, at build time and on lookup;
+        # a graph with no vertices has no range 0..-1 to name.
+        want = r"^edge \(0, 1\) has an endpoint: the graph has no vertices$"
+        with pytest.raises(OutOfRangeError, match=want):
+            build_graph(0, [(0, 1)])
+        with pytest.raises(OutOfRangeError, match=want):
+            p_set(build_graph(0, []), [], (0, 1))
+        with pytest.raises(OutOfRangeError, match=r"^edge \(0, 3\) has an endpoint outside 0..2$"):
+            build_graph(3, [(0, 1)]).has_edge(0, 3)
 
     def test_negative_order_rejected(self):
         with pytest.raises(BadParameterError):
@@ -145,8 +157,10 @@ class TestDistanceAfterDeletion:
 
     def test_vertex_out_of_range(self):
         g = gen.cycle(4).graph
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(OutOfRangeError, match=r"^vertex 4 outside 0..3$"):
             distance_after_deletion(g, (0, 1), 0, 4)
+        with pytest.raises(OutOfRangeError, match=r"^vertex -1 outside 0..3$"):
+            distance_after_deletion(g, (0, 1), -1, 2)
 
 
 class TestBridges:

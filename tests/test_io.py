@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demkit import FormatError, Graph
+from demkit import BadParameterError, FormatError, Graph
 from demkit import generators as gen
 from demkit import io as demkit_io
 from demkit.cli import main
@@ -224,6 +224,32 @@ class TestOnePassReader:
         assert main(["gen", spec, "--seed", "3", "--output", str(path)]) == 0
         loaded = load_edgelist(path)
         assert loaded.labels is None and loaded.graph.n > 0
+
+
+class TestSizeCap:
+    # The reader checks the header's n and m against the generators' cap
+    # of 1,000,000 vertices and edges before it builds any list n long:
+    # in its one pass over demkit's own form, and in the line reader.
+    @pytest.mark.parametrize("text, line_reader", [
+        ("1000001 0\n", False),
+        ("3 1000001\n", False),
+        ("99999999999999999999 0\n", False),
+        ("1000001 0\r\n", True),
+        ("1000001 1\na b\n", True),
+        ("99999999999999999999 1\na b\n", True),
+    ])
+    def test_past_the_cap_rejected(self, monkeypatch, text, line_reader):
+        read = []
+        parse_lines = demkit_io._parse_lines
+        monkeypatch.setattr(demkit_io, "_parse_lines", lambda t: read.append(t) or parse_lines(t))
+        with pytest.raises(BadParameterError, match="^edge-list graph too large"):
+            parse_edgelist(text)
+        assert bool(read) == line_reader
+
+    @pytest.mark.parametrize("text", ["1000000 0\n", "1000000 0\r\n"])
+    def test_cap_admitted(self, text):
+        g = parse_edgelist(text).graph
+        assert (g.n, g.m) == (1_000_000, 0)
 
 
 def _outcome(parse, text):
