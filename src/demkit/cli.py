@@ -22,10 +22,10 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from . import generators, structural
 from .errors import BadParameterError, DemkitError, DisconnectedError, FormatError
-from .graph import base_graph
+from .graph import _check_dem_defined, base_graph
 from .io import LoadedGraph, format_edgelist, load_edgelist, to_dot
 from .monitor import em_set, is_monitoring_set, p_set
-from .solvers import DEFAULT_BUDGET, _check_dem_defined, dem_exact, dem_greedy
+from .solvers import DEFAULT_BUDGET, dem_exact, dem_greedy
 
 FORMATS = ("json", "csv", "dot", "text")
 

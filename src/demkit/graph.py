@@ -297,6 +297,14 @@ def require_connected(g: Graph, what: str = "operation") -> None:
         )
 
 
+def _check_dem_defined(g: Graph) -> None:
+    """BadParameterError for a graph with fewer than two vertices, which has
+    no edge to monitor: the solvers, the bounds and the characterizations
+    all reject it with this one message."""
+    if g.n < 2:
+        raise BadParameterError("dem is defined for graphs with at least one edge")
+
+
 def degree_extremes(g: Graph) -> tuple[int, int]:
     """(min degree, max degree); (0, 0) for graphs without vertices."""
     if g.n == 0:

@@ -1,16 +1,19 @@
 """Exact and greedy solvers for the minimum distance-edge-monitoring set.
 
-The exact solver first strips the input to its 2-core (the minimum is
-invariant under pendant-tree removal), then solves minimum set cover over
-the per-vertex EM sets of the core: candidate sets are EM(x) for each core
-vertex x, and elements are classes of core edges monitored by the same
-vertices (on a grid, whole rows of edges fall into one class).  Greedy
-still counts edges, through each class's weight, so merging changes no
-pick.  One branch-and-bound search, seeded with the greedy cover, returns
-the optimum that is lexicographically smallest over core vertices, so the
-reported monitor set is canonical.  When the node budget runs out, the
-covers found so far are improved by local search, on the same classes,
-and the smallest is returned as inexact: every stage reads one instance.
+Both solvers run one pipeline.  It first strips the input to its 2-core
+(the minimum is invariant under pendant-tree removal), then treats dem
+as minimum set cover over the per-vertex EM sets of the core: candidate
+sets are EM(x) for each core vertex x, and elements are classes of core
+edges monitored by the same vertices (on a grid, whole rows of edges
+fall into one class).  Greedy still counts edges, through each class's
+weight, so merging changes no pick.  dem_greedy returns the greedy cover
+of the core; dem_exact starts its one branch-and-bound search from that
+cover and returns the optimum that is lexicographically smallest over
+core vertices, so the reported monitor set is canonical, and
+`dem --method both` shows what the search gained over greedy.  When the
+node budget runs out, the covers found so far are improved by local
+search, on the same classes, and the smallest is returned as inexact:
+every stage reads one instance.
 """
 
 from __future__ import annotations
@@ -21,9 +24,10 @@ from functools import cached_property
 from heapq import heappop, heapreplace
 from itertools import combinations
 from time import perf_counter
+from typing import Optional
 
 from .errors import BadParameterError
-from .graph import Graph, _bfs, _bits, base_graph, canonical_edge, require_connected
+from .graph import Graph, _bfs, _bits, _check_dem_defined, base_graph, canonical_edge
 from .monitor import MonitoringCertificate, _em_holders, em_set_naive, is_monitoring_set
 
 DEFAULT_BUDGET = 10_000_000
@@ -460,29 +464,45 @@ def _cover_instance(g: Graph) -> tuple:
     return list(dict.fromkeys(holders)), buckets, _transpose(classes, g.n), (1 << len(classes)) - 1
 
 
-def _check_cover(masks: list, full: int, cover) -> None:
-    """Raise AssertionError unless the sets of cover OR to full."""
-    covered = 0
-    for v in cover:
-        covered |= masks[v]
-    if covered != full:
-        raise AssertionError("the chosen monitors leave an edge class uncovered")
+def _dem(g: Graph, budget: Optional[int]) -> DemResult:
+    """The dem pipeline: the greedy cover of g's 2-core, then, unless budget
+    is None, the search from it and, when the search runs out of budget,
+    the local search.
 
-
-def _result(g: Graph, ms: tuple, method: str, exact: bool, nodes: int, t0: float) -> DemResult:
-    """The DemResult for the monitoring set ms of g, with the time since t0.
-    An exact-method result that is not exact ran out of budget."""
+    The checks run in a fixed order: an edge, the budget, connectivity.
+    Every cover is checked to cover the core's classes before it is
+    lifted back to g's ids; on a tree the answer is vertex 0 alone.
+    """
+    _check_dem_defined(g)
+    if budget is not None and budget < 0:
+        raise BadParameterError(f"budget must be >= 0, got {budget}")
+    t0 = perf_counter()
+    base = base_graph(g)
+    nodes = 0
+    exact = base.was_tree and budget is not None
+    # Every vertex of a tree monitors every edge, each a bridge.
+    monitor_set = (0,)
+    if not base.was_tree:
+        seen, buckets, masks, full = _cover_instance(base.graph)
+        best = _greedy_cover(masks, full, buckets)
+        if budget is not None:
+            covers, nodes, exact = _cover_search(masks, best, budget)
+            best = covers[-1]
+            if not exact:
+                # Polishing every cover, not only the last, keeps a larger
+                # budget from ending on a worse result.
+                best = _improve_cover(seen, covers)
+        covered = 0
+        for v in best:
+            covered |= masks[v]
+        if covered != full:
+            raise AssertionError("the chosen monitors leave an edge class uncovered")
+        monitor_set = tuple(sorted(base.new_to_old[v] for v in best))
     stats = {"nodes": nodes, "millis": (perf_counter() - t0) * 1000.0}
-    if method == "exact" and not exact:
+    if budget is not None and not exact:
         stats["budget_exhausted"] = True
-    return DemResult(len(ms), ms, method, exact, g, stats)
-
-
-def _check_dem_defined(g: Graph) -> None:
-    """BadParameterError for a graph with fewer than two vertices, which has
-    no edge to monitor."""
-    if g.n < 2:
-        raise BadParameterError("dem is defined for graphs with at least one edge")
+    method = "greedy" if budget is None else "exact"
+    return DemResult(len(monitor_set), monitor_set, method, exact, g, stats)
 
 
 def dem_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> DemResult:
@@ -498,37 +518,16 @@ def dem_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> DemResult:
     equal-size optima, the monitor set that is lexicographically smallest
     over core vertices is returned.
     """
-    _check_dem_defined(g)
-    if budget < 0:
-        raise BadParameterError(f"budget must be >= 0, got {budget}")
-    t0 = perf_counter()
-    base = base_graph(g)
-    if base.was_tree:
-        return _result(g, (0,), "exact", True, 0, t0)
-    seen, buckets, masks, full = _cover_instance(base.graph)
-    incumbent = _greedy_cover(masks, full, buckets)
-    covers, nodes, exact = _cover_search(masks, incumbent, budget)
-    best = covers[-1]
-    if not exact:
-        # Polishing every cover, not only the last, keeps a larger budget
-        # from ending on a worse result.
-        best = _improve_cover(seen, covers)
-    _check_cover(masks, full, best)
-    monitor_set = tuple(sorted(base.new_to_old[v] for v in best))
-    return _result(g, monitor_set, "exact", exact, nodes, t0)
+    return _dem(g, budget)
 
 
 def dem_greedy(g: Graph) -> DemResult:
-    """Greedy cover: repeatedly take the vertex monitoring the most uncovered
-    edges (ties to the lowest id).  Carries the standard harmonic-factor
+    """Greedy cover of the 2-core: repeatedly take the core vertex
+    monitoring the most uncovered edges (ties to the lowest id).  It is the
+    cover dem_exact's search starts from, so `dem --method both` shows
+    what the search gained.  Carries the standard harmonic-factor
     set-cover guarantee relative to the optimum."""
-    _check_dem_defined(g)
-    require_connected(g, "dem")
-    t0 = perf_counter()
-    _, buckets, masks, full = _cover_instance(g)
-    chosen = _greedy_cover(masks, full, buckets)
-    _check_cover(masks, full, chosen)
-    return _result(g, tuple(sorted(chosen)), "greedy", False, 0, t0)
+    return _dem(g, None)
 
 
 def verify_dem_result(g: Graph, result: DemResult) -> bool:

@@ -28,6 +28,7 @@ from .graph import (
     BaseGraphResult,
     Graph,
     _bits,
+    _check_dem_defined,
     _check_vertex,
     _sweep,
     base_graph,
@@ -298,8 +299,10 @@ def dem_is_2(g: Graph) -> Optional[tuple]:
     """Search the base graph for a pair passing all two-monitor conditions.
 
     Returns the pair lifted back to g's vertex ids, or None.  Raises
+    BadParameterError, as dem does, for a graph with no edge, and
     IsTreeError for trees (single-monitor regime).
     """
+    _check_dem_defined(g)
     base = base_graph(g)
     _check_not_tree(base)
     report = dem2_first_pass(base.graph)
@@ -582,8 +585,7 @@ class BoundsReport:
 
 def bounds_report(g: Graph) -> BoundsReport:
     """Assemble every implemented dem bound for a connected graph."""
-    if g.n < 2:
-        raise BadParameterError("bounds need a graph with at least one edge")
+    _check_dem_defined(g)
     require_connected(g, "bounds report")
     n, m = g.n, g.m
     density_lb = ceil(m / (n - 1))

@@ -121,6 +121,24 @@ def test_greedy_picks_and_guarantee():
     assert cores == 971
 
 
+def test_greedy_is_the_search_incumbent():
+    # dem_greedy is the cover dem_exact's search starts from: on every
+    # non-tree graph, the greedy cover of the 2-core lifted back to g's
+    # ids, so it never picks a pendant vertex and never beats the optimum.
+    cores = 0
+    for g in census():
+        base = base_graph(g)
+        if base.was_tree:
+            continue
+        _, buckets, masks, full = _cover_instance(base.graph)
+        lifted = tuple(sorted(base.new_to_old[v] for v in _greedy_cover(masks, full, buckets)))
+        res = dem_greedy(g)
+        assert res.monitor_set == lifted, g
+        assert res.value >= dem_exact(g).value, g
+        cores += 1
+    assert cores == 971
+
+
 def test_distances_after_each_deletion():
     pairs = 0
     for g in census():

@@ -63,6 +63,10 @@ def _upc(r):
 
 _R60 = "dem --gen random:60,0.1 --seed 1 --budget"
 _COVER = [1, 2, 3, 12, 13, 15, 23, 29, 31, 32, 35, 39, 41, 57]
+_TWO_PARTS = (
+    "error: base-graph reduction requires a connected graph; found 2 components of sizes [2, 2]\n"
+)
+_NO_EDGE = "error: dem is defined for graphs with at least one edge\n"
 
 ROWS = [
     # The one call CI also makes through the console script.
@@ -113,6 +117,17 @@ ROWS = [
     # pairs of the edge's own component and exits 0, not 3.
     Row("pset_disconnected", "pset two.el --monitors all --edge 0,1", 0,
         lambda r: r["pairs"], [[0, 1], [1, 0]], files={"two.el": b"4 2\n0 1\n2 3\n"}),
+    # Both methods reduce to the 2-core first, so a disconnected input
+    # fails in the same reduction, with the same error line.
+    Row("dem_disconnected_exact", "dem two.el", 3, files={"two.el": b"4 2\n0 1\n2 3\n"},
+        err=_TWO_PARTS),
+    Row("dem_disconnected_greedy", "dem two.el --method greedy", 3,
+        files={"two.el": b"4 2\n0 1\n2 3\n"}, err=_TWO_PARTS),
+    # A graph with no edge is rejected before the budget is read, and
+    # bounds rejects it in dem's words.
+    Row("dem_one_vertex_bad_budget", "dem one.el --budget -5", 2, files={"one.el": b"1 0\n"},
+        err=_NO_EDGE),
+    Row("bounds_one_vertex", "bounds one.el", 2, files={"one.el": b"1 0\n"}, err=_NO_EDGE),
     # A vertex named on a graph with no vertices is a parameter error.
     Row("em_no_vertices", "em empty.el --vertex 0", 2, files={"empty.el": b"0 0\n"}),
     Row("pset_no_vertices", "pset empty.el --monitors all --edge 0,1", 2,
@@ -121,6 +136,10 @@ ROWS = [
     # a MemoryError traceback: a 200,000-vertex cycle outgrows it in the
     # EM pass.
     Row("dem_cycle200000_1gib", "dem --gen cycle:200000", 2, mib=1024),
+    # Greedy runs on the 2-core, as the search does: a tree is answered
+    # by vertex 0 alone, with no EM pass over its 200,000 vertices.
+    Row("dem_greedy_tree200000_1gib", "dem --gen tree:200000 --method greedy", 0,
+        lambda r: r["results"]["greedy"]["monitor_set"], [0], mib=1024),
     # 2^30 vertices are past the generators' cap of 1,000,000 vertices
     # and edges: the exit is 2 before any list is built, even under 512 MiB.
     Row("dem_hypercube30_512mib", "dem --gen hypercube:30", 2, mib=512),

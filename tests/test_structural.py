@@ -173,6 +173,15 @@ class TestDemIs2:
         with pytest.raises(IsTreeError):
             dem_is_2(gen.star(4).graph)
 
+    def test_no_edge_rejected_as_dem_is(self):
+        # One vertex or none: the check and the words of dem itself, before
+        # the tree check or the base graph can answer.
+        words = "^dem is defined for graphs with at least one edge$"
+        for n in (0, 1):
+            for f in (dem_is_2, bounds_report, dem_exact):
+                with pytest.raises(BadParameterError, match=words):
+                    f(build_graph(n, []))
+
     def test_pair_reported_in_original_ids(self):
         cyc = gen.cycle(6).graph
         g = build_graph(8, list(cyc.edges()) + [(0, 6), (6, 7)])
